@@ -69,7 +69,6 @@ def _config_from(args):
     return RunConfig(
         max_word_len=getattr(args, "max_word_len", 6),
         length_cutoff=getattr(args, "cutoff", 12.0),
-        margulis_epsilon=getattr(args, "margulis", 0.1),
         tol_trace=getattr(args, "tol", 1e-9),
     )
 
@@ -226,7 +225,7 @@ def _cmd_classify_manifold(args):
     return report.exit_code
 
 
-def _add_common(sub, word_len=False, cutoff=False, margulis=False):
+def _add_common(sub, word_len=False, cutoff=False):
     sub.add_argument(
         "--tol", type=float, default=1e-9,
         help="trace tolerance for classification (default 1e-9)",
@@ -244,11 +243,6 @@ def _add_common(sub, word_len=False, cutoff=False, margulis=False):
         sub.add_argument(
             "--cutoff", type=float, default=12.0,
             help="drop geodesics longer than this (default 12.0)",
-        )
-    if margulis:
-        sub.add_argument(
-            "--margulis", type=float, default=0.1,
-            help="thinness threshold echoed in the report (default 0.1)",
         )
 
 
@@ -362,7 +356,7 @@ def build_parser():
         help="full search: elementary test, plane test, geodesic certificates",
     )
     sub.add_argument("group", help="path to a generator file")
-    _add_common(sub, word_len=True, cutoff=True, margulis=True)
+    _add_common(sub, word_len=True, cutoff=True)
     sub.set_defaults(handler=_cmd_classify_manifold)
 
     return parser

@@ -205,7 +205,7 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
 class SpectrumEntry:
     """One closed geodesic: its shortest spelling, class, and axis."""
 
-    __slots__ = ("word", "kind", "length", "angle", "axis", "_orbit")
+    __slots__ = ("word", "kind", "length", "angle", "axis")
 
     def __init__(self, word, kind, length, angle, axis):
         self.word = word
@@ -213,7 +213,6 @@ class SpectrumEntry:
         self.length = length
         self.angle = angle
         self.axis = axis
-        self._orbit = None
 
     def __repr__(self):
         return "SpectrumEntry(%r, %s, %.6f, %.6f)" % (
@@ -265,22 +264,19 @@ def spectrum(
     candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
 
     kept = []
+    orbits = {}  # kept index -> store of its axis translates, built on demand
     for entry in candidates:
-        merged = False
-        for rep in kept:
+        for index, rep in enumerate(kept):
             if abs(entry.length - rep.length) > 1e-7:
                 continue
             if abs(entry.angle - rep.angle) > 1e-7:
                 continue
-            if rep._orbit is None:
-                rep._orbit = _axis_orbit(rep, ball)
-            if rep._orbit.find(halfturn_matrix(entry.axis)) is not None:
-                merged = True
+            if index not in orbits:
+                orbits[index] = _axis_orbit(rep, ball)
+            if orbits[index].find(halfturn_matrix(entry.axis)) is not None:
                 break
-        if not merged:
+        else:
             kept.append(entry)
-    for rep in kept:
-        rep._orbit = None
     return kept
 
 
@@ -347,13 +343,14 @@ def fuchsian_test(
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
+    hyperbolic = []
     for word in ball:
-        if classify(word.matrix, tol_trace).kind == "screw":
+        kind = classify(word.matrix, tol_trace).kind
+        if kind == "screw":
             return FuchsianResult("screw_found", witness=word)
+        if kind == "hyperbolic":
+            hyperbolic.append(word)
 
-    hyperbolic = [
-        w for w in ball if classify(w.matrix, tol_trace).kind == "hyperbolic"
-    ]
     pair = None
     for i, u in enumerate(hyperbolic):
         axis_u = axis_of(u.matrix)
@@ -479,6 +476,20 @@ def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None)
     result = fuchsian_test(group, max_word_len, tol_trace, ball=ball)
     if result.verdict != "all_non_screw_with_plane":
         return None
+    pair = parabolic_generator_pair(group, tol_trace)
+    if pair is None:
+        return None
+    return ThricePuncturedEvidence(pair[0], pair[1], result.plane)
+
+
+def parabolic_generator_pair(group, tol_trace):
+    """Generator words (u, v), up to inversion, with u, v and u v parabolic.
+
+    This is the cusp pattern of the doubly-cusped plane group; None when the
+    group does not have rank 2 or no such pair exists.
+    """
+    if group.rank != 2:
+        return None
     for i in (0, 1):
         for j in (2, 3):
             u = group.word((i,))
@@ -487,7 +498,7 @@ def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None)
                 classify(m, tol_trace).kind == "parabolic"
                 for m in (u.matrix, v.matrix, u.matrix * v.matrix)
             ):
-                return ThricePuncturedEvidence(u, v, result.plane)
+                return u, v
     return None
 
 

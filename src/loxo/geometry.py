@@ -199,9 +199,14 @@ def standardizing_map(p1, p2, p3):
     """Moebius transformation sending (p1, p2, p3) to (0, 1, infinity)."""
     d23 = _det2(p2, p3)
     d21 = _det2(p2, p1)
-    return MoebiusIsometry(
-        p1.w * d23, -p1.z * d23, p3.w * d21, -p3.z * d21
-    )
+    a, b, c, d = p1.w * d23, -p1.z * d23, p3.w * d21, -p3.z * d21
+    # det = d23 d21 d13 shrinks as the points close up; scale it to one
+    # before the absolute determinant test in MoebiusIsometry sees it
+    det = a * d - b * c
+    if det == 0:
+        raise DegeneratePoints("repeated point for standardizing_map")
+    s = cmath.sqrt(det)
+    return MoebiusIsometry(a / s, b / s, c / s, d / s)
 
 
 def circle_through(p1, p2, p3, tol=CHORDAL_TOL):

@@ -21,9 +21,9 @@ from .enumeration import (
     enumerate_ball,
     fuchsian_test,
     jorgensen_warnings,
+    parabolic_generator_pair,
     shortest_screw,
     spectrum,
-    thrice_punctured_test,
 )
 from .errors import (
     DuplicateLabel,
@@ -44,23 +44,14 @@ MAX_WORD_LEN_LIMIT = 12
 
 
 class RunConfig:
-    """Knobs for the search: word bound, cutoffs, tolerances, budget."""
+    """Knobs for the search: word bound, length cutoff, tolerance, budget."""
 
-    __slots__ = (
-        "max_word_len",
-        "length_cutoff",
-        "margulis_epsilon",
-        "tol_det",
-        "tol_trace",
-        "cap",
-    )
+    __slots__ = ("max_word_len", "length_cutoff", "tol_trace", "cap")
 
     def __init__(
         self,
         max_word_len=6,
         length_cutoff=12.0,
-        margulis_epsilon=0.1,
-        tol_det=1e-12,
         tol_trace=TOL_TRACE,
         cap=DEFAULT_CAP,
     ):
@@ -71,14 +62,10 @@ class RunConfig:
             )
         if length_cutoff <= 0:
             raise OutOfRange("length cutoff must be positive")
-        if margulis_epsilon <= 0:
-            raise OutOfRange("thinness threshold must be positive")
         if cap <= 0:
             raise OutOfRange("element budget must be positive")
         self.max_word_len = max_word_len
         self.length_cutoff = length_cutoff
-        self.margulis_epsilon = margulis_epsilon
-        self.tol_det = tol_det
         self.tol_trace = tol_trace
         self.cap = cap
 
@@ -86,8 +73,6 @@ class RunConfig:
         return {
             "max_word_len": self.max_word_len,
             "length_cutoff": self.length_cutoff,
-            "margulis_epsilon": self.margulis_epsilon,
-            "tol_det": self.tol_det,
             "tol_trace": self.tol_trace,
             "cap": self.cap,
         }
@@ -260,20 +245,23 @@ def classify_manifold(group, config=None):
         return report(Elementary("0_or_1"))
 
     ball = enumerate_ball(group, config.max_word_len, config.cap)
-    entries = spectrum(
-        group,
-        config.max_word_len,
-        config.length_cutoff,
-        config.tol_trace,
-        ball=ball,
-    )
+
+    def entries_of(*kinds):
+        # the spectrum is built only on the branches that read it
+        entries = spectrum(
+            group,
+            config.max_word_len,
+            config.length_cutoff,
+            config.tol_trace,
+            ball=ball,
+        )
+        return [e for e in entries if e.kind in kinds]
 
     if elem.verdict == "limit_points_2":
         on_axis = [
             e
-            for e in entries
-            if e.kind in ("hyperbolic", "screw")
-            and same_line(e.axis, elem.axis)
+            for e in entries_of("hyperbolic", "screw")
+            if same_line(e.axis, elem.axis)
         ]
         found = _certify_first_simple(group, on_axis, config, ball)
         if found is not None:
@@ -290,16 +278,12 @@ def classify_manifold(group, config=None):
     )
 
     if fuch.verdict == "all_non_screw_with_plane":
-        evidence = thrice_punctured_test(
-            group, config.max_word_len, config.tol_trace, ball=ball
-        )
-        if evidence is not None:
+        pair = parabolic_generator_pair(group, config.tol_trace)
+        if pair is not None:
             return report(
-                ThricePuncturedSphereEvidence(
-                    evidence.first, evidence.second, evidence.plane
-                )
+                ThricePuncturedSphereEvidence(pair[0], pair[1], fuch.plane)
             )
-        hyperbolic = [e for e in entries if e.kind == "hyperbolic"]
+        hyperbolic = entries_of("hyperbolic")
         found = _certify_first_simple(group, hyperbolic, config, ball)
         if found is not None:
             return report(found)
@@ -343,8 +327,9 @@ def classify_manifold(group, config=None):
         )
 
     # fuchsian fallback: no two hyperbolic words with distinct endpoints
-    hyperbolic = [e for e in entries if e.kind == "hyperbolic"]
-    found = _certify_first_simple(group, hyperbolic, config, ball)
+    found = _certify_first_simple(
+        group, entries_of("hyperbolic"), config, ball
+    )
     if found is not None:
         return report(found)
     return report(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import loxo.enumeration
 from loxo.enumeration import (
     GroupPresentation,
     MatrixStore,
@@ -316,6 +317,22 @@ def test_elementary_common_parabolic_point():
 
 # ---------------------------------------------------------------------------
 # thrice_punctured_test and jorgensen_warnings
+
+
+def test_fuchsian_test_classifies_each_word_once(monkeypatch):
+    group = presentation(THRICE_PUNCTURED)
+    ball = enumerate_ball(group, 5)
+    calls = []
+
+    def counted(m, tol_trace):
+        calls.append(m)
+        return classify(m, tol_trace)
+
+    monkeypatch.setattr(loxo.enumeration, "classify", counted)
+    result = fuchsian_test(group, 5, ball=ball)
+    assert result.verdict == "all_non_screw_with_plane"
+    # one classification per ball word, plus the product of the chosen pair
+    assert len(calls) <= len(ball) + 1
 
 
 def test_thrice_punctured_fixture_matches():

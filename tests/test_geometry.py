@@ -28,11 +28,13 @@ from loxo.geometry import (
     same_circle,
     same_line,
     same_oriented_circle,
+    standardizing_map,
     transform_circle,
     transform_line,
 )
 from loxo.isometry import (
     BoundaryPoint,
+    apply_boundary,
     classify,
     normalize,
     same_point,
@@ -92,6 +94,20 @@ def test_circle_through_real_line_orientation():
 def test_circle_through_rejects_repeats():
     with pytest.raises(DegeneratePoints):
         circle_through(pt(1.0), pt(1.0), pt(2.0))
+
+
+def test_standardizing_map_on_close_points():
+    # d23 d21 d13 is about 1e-15 here, under the absolute determinant test
+    p1, p2, p3 = pt(0.0), pt(1e-5), pt(2e-5)
+    m = standardizing_map(p1, p2, p3)
+    for p, image in ((p1, 0.0), (p2, 1.0)):
+        assert same_point(apply_boundary(m, p), pt(image))
+    assert apply_boundary(m, p3).is_infinity
+
+
+def test_standardizing_map_rejects_repeats():
+    with pytest.raises(DegeneratePoints):
+        standardizing_map(pt(1.0), pt(1.0), pt(2.0))
 
 
 def test_on_circle():

@@ -2,10 +2,12 @@ import cmath
 import json
 import math
 import os
+import re
 
 import pytest
 
-from loxo.cli import main
+import loxo.pipeline
+from loxo.cli import build_parser, main
 from loxo.enumeration import GroupPresentation
 from loxo.errors import (
     DuplicateLabel,
@@ -41,8 +43,10 @@ def test_config_defaults():
     config = RunConfig()
     assert config.max_word_len == 6
     assert config.length_cutoff == 12.0
-    assert config.margulis_epsilon == 0.1
     assert config.cap == 10**7
+    assert set(config.to_dict()) == {
+        "max_word_len", "length_cutoff", "tol_trace", "cap",
+    }
 
 
 def test_config_validation():
@@ -53,7 +57,7 @@ def test_config_validation():
     with pytest.raises(OutOfRange):
         RunConfig(length_cutoff=0.0)
     with pytest.raises(OutOfRange):
-        RunConfig(margulis_epsilon=-1.0)
+        RunConfig(cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,33 @@ def test_verdict_inconclusive_crossing_screw():
     assert report.to_dict()["reason"]
 
 
+def test_verdict_thrice_punctured_survives_large_conjugate():
+    # diag(300, 1/300) moves the plane's points far apart; the standardizing
+    # map of circle_through must not fail the determinant test on them
+    k = 300.0
+    group = GroupPresentation(
+        [MoebiusIsometry(1, 2 * k * k, 0, 1), MoebiusIsometry(1, 0, 2 / (k * k), 1)]
+    )
+    report = classify_manifold(group)
+    assert report.verdict.kind == "ThricePuncturedSphereEvidence"
+    assert report.to_dict()["parabolic_pair"] == ["a", "b'"]
+
+
+def test_verdicts_without_spectrum(monkeypatch):
+    # the screw and thrice-punctured branches never read the spectrum
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum built on a branch that does not read it")
+
+    monkeypatch.setattr(loxo.pipeline, "spectrum", no_spectrum)
+    config = RunConfig(max_word_len=4)
+    for name, kind in (
+        ("figure_eight.json", "SimpleGeodesicFound"),
+        ("thrice_punctured.json", "ThricePuncturedSphereEvidence"),
+    ):
+        group, _ = load_group_file(fixture(name))
+        assert classify_manifold(group, config).verdict.kind == kind
+
+
 def test_inconclusive_requires_reason():
     with pytest.raises(ValueError):
         Inconclusive("")
@@ -269,6 +300,24 @@ def test_text_report_marks_unbounded_tube():
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def test_readme_options_exist():
+    # every --option the README names must be accepted by some subcommand
+    accepted = set()
+    for action in build_parser()._subparsers._group_actions:
+        for sub in action.choices.values():
+            for option in sub._actions:
+                accepted.update(option.option_strings)
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    named = set()
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("pip "):
+                continue  # pip's own options
+            named.update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+    assert named, "README names no options"
+    assert named <= accepted, sorted(named - accepted)
 
 
 def run_cli(capsys, *argv):
