@@ -16,6 +16,8 @@ elementary behavior.
 import itertools
 import math
 
+import numpy as np
+
 from .errors import BudgetExceeded, PlaneVerificationFailed, ScrewInput
 from .geometry import (
     PLANE_TOL,
@@ -223,13 +225,58 @@ class SpectrumEntry:
         )
 
 
-def _axis_orbit(entry, ball):
-    store = MatrixStore()
-    h = halfturn_matrix(entry.axis)
-    store.add(h, True)
-    for w in ball:
-        store.add(w.matrix * h * w.matrix.inverse(), True)
-    return store
+# Generic weights of a real projection of the eight coordinates (Re a,
+# Im a, ..., Im d).  Rows within MERGE_TOL of each other under either sign
+# have |projection| within MERGE_TOL times the weight sum, so sorting an
+# orbit by |projection| never separates a merge.
+_WEIGHTS = np.array([0.97, 0.83, 0.71, 0.59, 0.43, 0.31, 0.23, 0.11])
+_WEIGHT_SUM = float(_WEIGHTS.sum())
+
+
+class _AxisOrbit:
+    """All w h w^-1 for w the identity or a ball element, one row each.
+
+    Rows of the ball array are (a, b, c, d) of unit determinant, so the
+    inverse of w is [[d, -b], [-c, a]].  Rows are sorted by their
+    |projection| so that a lookup confirms only the rows near its own.
+    """
+
+    __slots__ = ("rows", "keys", "scale")
+
+    def __init__(self, h, ball_array):
+        a, b, c, d = ball_array.T
+        p = a * h.a + b * h.c
+        q = a * h.b + b * h.d
+        r = c * h.a + d * h.c
+        s = c * h.b + d * h.d
+        rows = np.stack(
+            (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b),
+            axis=1,
+        )
+        keys = np.abs(rows.view(np.float64) @ _WEIGHTS)
+        order = np.argsort(keys)
+        self.rows = rows[order]
+        self.keys = keys[order]
+        self.scale = float(np.abs(rows.view(np.float64)).max())
+
+    def contains(self, target):
+        """True when some row lies within psl_distance MERGE_TOL of target.
+
+        The target is the (4,) complex array of a matrix.
+        """
+        coords = target.view(np.float64)
+        key = abs(float(coords @ _WEIGHTS))
+        # the 1e-14 term exceeds the roundoff of both projections, so a
+        # row whose key sits on a window edge cannot be within MERGE_TOL
+        scale = max(self.scale, float(np.abs(coords).max()))
+        slack = _WEIGHT_SUM * (MERGE_TOL + 1e-14 * scale)
+        lo, hi = self.keys.searchsorted((key - slack, key + slack))
+        if lo == hi:
+            return False
+        rows = self.rows[lo:hi]
+        direct = np.abs(rows - target).max(axis=1)
+        flipped = np.abs(rows + target).max(axis=1)
+        return bool((np.minimum(direct, flipped) <= MERGE_TOL).any())
 
 
 def spectrum(
@@ -243,7 +290,9 @@ def spectrum(
 
     Each elliptic, hyperbolic, or screw element of the ball contributes its
     axis; entries whose complex lengths agree within 1e-7 are identified
-    when one axis is a ball-translate of the other.  Parabolic and identity
+    when one axis is a ball-translate of the other, that is when the
+    half-turn about one lies within MERGE_TOL of some w h w^-1 for the
+    other, with w the identity or a ball element.  Parabolic and identity
     words carry no length and are skipped.  Sorted by length, then angle,
     then shortlex word.
     """
@@ -263,20 +312,36 @@ def spectrum(
         )
     candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
 
+    ball_array = np.array(
+        [(1.0, 0.0, 0.0, 1.0)]
+        + [(w.matrix.a, w.matrix.b, w.matrix.c, w.matrix.d) for w in ball],
+        dtype=complex,
+    )
     kept = []
-    orbits = {}  # kept index -> store of its axis translates, built on demand
+    # Kept reps whose length is within 1e-7 of the current candidate, as
+    # [rep, its half-turn, its orbit array]; both are filled in on first
+    # use.  Candidates come in length order, so a rep that falls behind
+    # can never pass the length gate again and its orbit is dropped.
+    near = []
     for entry in candidates:
-        for index, rep in enumerate(kept):
-            if abs(entry.length - rep.length) > 1e-7:
-                continue
+        near = [slot for slot in near if entry.length - slot[0].length <= 1e-7]
+        h = None
+        for slot in near:
+            rep, rep_h, orbit = slot
             if abs(entry.angle - rep.angle) > 1e-7:
                 continue
-            if index not in orbits:
-                orbits[index] = _axis_orbit(rep, ball)
-            if orbits[index].find(halfturn_matrix(entry.axis)) is not None:
+            if h is None:
+                h = halfturn_matrix(entry.axis)
+                target = np.array((h.a, h.b, h.c, h.d))
+            if orbit is None:
+                if rep_h is None:
+                    rep_h = halfturn_matrix(rep.axis)
+                orbit = slot[2] = _AxisOrbit(rep_h, ball_array)
+            if orbit.contains(target):
                 break
         else:
             kept.append(entry)
+            near.append([entry, h, None])
     return kept
 
 

@@ -26,6 +26,7 @@ from .enumeration import (
     spectrum,
 )
 from .errors import (
+    DegeneratePoints,
     DuplicateLabel,
     IdentityGenerator,
     NearSingular,
@@ -222,10 +223,25 @@ def _entry_from_word(word, tol_trace):
 
 
 def _certify_first_simple(group, entries, config, ball):
+    """SimpleGeodesicFound for the first entry that certifies, else None.
+
+    A scan that hits a degenerate translate stops the search with an
+    Inconclusive naming the word, since its outcome is unknown.
+    """
     for entry in entries:
-        report = simplicity_check(
-            group, entry.axis, config.max_word_len, config.tol_trace, ball=ball
-        )
+        try:
+            report = simplicity_check(
+                group,
+                entry.axis,
+                config.max_word_len,
+                config.tol_trace,
+                ball=ball,
+            )
+        except (NearSingular, DegeneratePoints) as exc:
+            return Inconclusive(
+                "simplicity check of %s failed: %s: %s"
+                % (entry.word.name, type(exc).__name__, exc)
+            )
         if report.is_simple:
             return SimpleGeodesicFound(entry, report)
     return None

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -6,6 +7,7 @@ import loxo.enumeration
 from loxo.enumeration import (
     GroupPresentation,
     MatrixStore,
+    SpectrumEntry,
     elementary_test,
     enumerate_ball,
     fuchsian_test,
@@ -15,10 +17,19 @@ from loxo.enumeration import (
     thrice_punctured_test,
 )
 from loxo.errors import BudgetExceeded
-from loxo.geometry import circle_through, same_circle, same_line
-from loxo.isometry import BoundaryPoint, MoebiusIsometry, classify
+from loxo.geometry import (
+    axis_of,
+    circle_through,
+    halfturn_matrix,
+    same_circle,
+    same_line,
+)
+from loxo.isometry import BoundaryPoint, MoebiusIsometry, classify, complex_length
+from loxo.pipeline import load_group_file
 
 from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, seeded
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def presentation(pairs):
@@ -167,6 +178,100 @@ def test_spectrum_skips_parabolic_words():
     assert all(e.kind == "hyperbolic" for e in entries)
     names = {e.word.name for e in entries}
     assert "a" not in names and "a a" not in names
+
+
+def test_spectrum_large_entry_group_returns():
+    # ball words reach entries near 2e4, so the determinant of a translate
+    # w h w^-1 computed from its entries cancels to zero; the orbit test
+    # must not take a determinant
+    group = GroupPresentation(
+        [
+            MoebiusIsometry(-1.5, -7.75, 1, 4.5),
+            MoebiusIsometry(4.5, -7.75, 1, -1.5),
+        ]
+    )
+    entries = spectrum(group, 5)
+    assert entries[0].word.name == "a"
+    assert abs(entries[0].length - 2 * math.acosh(1.5)) < 1e-12
+
+
+def reference_spectrum(group, max_word_len):
+    """Spectrum deduplicated by a MatrixStore of MoebiusIsometry products.
+
+    Every kept entry gets a store of its half-turn h and of w h w^-1 for
+    each ball word w; a later candidate of equal complex length merges when
+    the store finds its half-turn.
+    """
+    ball = enumerate_ball(group, max_word_len)
+    candidates = []
+    for word in ball:
+        kind = classify(word.matrix).kind
+        if kind in ("identity", "parabolic"):
+            continue
+        cl = complex_length(word.matrix)
+        if cl.length > 12.0:
+            continue
+        candidates.append(
+            SpectrumEntry(word, kind, cl.length, cl.angle, axis_of(word.matrix))
+        )
+    candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
+    kept = []
+    orbits = []
+    for entry in candidates:
+        h = halfturn_matrix(entry.axis)
+        for rep, orbit in zip(kept, orbits):
+            if abs(entry.length - rep.length) > 1e-7:
+                continue
+            if abs(entry.angle - rep.angle) > 1e-7:
+                continue
+            if orbit.find(h) is not None:
+                break
+        else:
+            orbit = MatrixStore()
+            orbit.add(h, True)
+            for w in ball:
+                orbit.add(w.matrix * h * w.matrix.inverse(), True)
+            kept.append(entry)
+            orbits.append(orbit)
+    return kept
+
+
+def spectrum_rows(entries):
+    return [(e.word.name, e.kind, e.length, e.angle) for e in entries]
+
+
+REFERENCE_GROUPS = [
+    pytest.param(
+        load_group_file(os.path.join(FIXTURES, name + ".json"))[0], id=name
+    )
+    for name in (
+        "figure_eight",
+        "thrice_punctured",
+        "diag_hyperbolic",
+        "single_parabolic",
+    )
+] + [
+    pytest.param(
+        GroupPresentation(
+            [MoebiusIsometry(1, 2, 0, 1), MoebiusIsometry(1, 0, 3, 1)]
+        ),
+        id="funnel",
+    ),
+    pytest.param(
+        GroupPresentation(
+            [MoebiusIsometry(1, 1, 1, 2), MoebiusIsometry(1, -1, -1, 2)]
+        ),
+        id="torus",
+    ),
+]
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+def test_spectrum_matches_store_reference(group):
+    for length in range(1, 6):
+        assert spectrum_rows(spectrum(group, length)) == spectrum_rows(
+            reference_spectrum(group, length)
+        )
 
 
 # ---------------------------------------------------------------------------

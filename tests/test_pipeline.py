@@ -244,6 +244,53 @@ def test_verdict_thrice_punctured_survives_large_conjugate():
     assert report.to_dict()["parabolic_pair"] == ["a", "b'"]
 
 
+# ball words reach entries near 2e4 at length 5, where the translate scan
+# of the shortest geodesic meets a product whose determinant cancels
+LARGE_ENTRY_GENERATORS = (
+    ("a", ((-1.5, -7.75), (1, 4.5))),
+    ("b", ((4.5, -7.75), (1, -1.5))),
+)
+
+
+def test_verdict_degenerate_translate_is_inconclusive():
+    group = GroupPresentation(
+        [MoebiusIsometry.from_matrix(rows) for _, rows in LARGE_ENTRY_GENERATORS]
+    )
+    report = classify_manifold(group, RunConfig(max_word_len=5))
+    assert report.verdict.kind == "Inconclusive"
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    reason = report.to_dict()["reason"]
+    assert reason.startswith("simplicity check of a failed: NearSingular")
+
+
+def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [
+                    {
+                        "label": label,
+                        "matrix": [[[x, 0], [y, 0]] for x, y in rows],
+                    }
+                    for label, rows in LARGE_ENTRY_GENERATORS
+                ]
+            }
+        )
+    )
+    code, out, _ = run_cli(
+        capsys,
+        "classify-manifold",
+        str(path),
+        "--max-word-len",
+        "5",
+        "--format",
+        "json",
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert json.loads(out)["verdict"] == "Inconclusive"
+
+
 def test_verdicts_without_spectrum(monkeypatch):
     # the screw and thrice-punctured branches never read the spectrum
     def no_spectrum(*args, **kwargs):
