@@ -14,15 +14,18 @@ pushed in before those loops reach length one.
 
 import math
 
-from .enumeration import enumerate_ball
-from .errors import OutOfRange
+import numpy as np
+
+from .enumeration import ball_entries, conjugate_rows, enumerate_ball
+from .errors import NearSingular, OutOfRange
 from .geometry import (
     INTERSECTION_TOL,
     geodesic_separation,
+    halfturn_matrix,
     same_line,
     transform_line,
 )
-from .isometry import TOL_TRACE
+from .isometry import CHORDAL_TOL, TOL_TRACE
 
 
 class SimplicityReport:
@@ -54,6 +57,84 @@ class SimplicityReport:
         )
 
 
+# cosh of the intersection tolerance: translates closer than this cross
+_COSH_INTERSECTION = math.cosh(INTERSECTION_TOL)
+_EPS = float(np.finfo(float).eps)
+
+
+def _chordal(z1, w1, z2, w2):
+    """chordal_distance between arrays of homogeneous points."""
+    return (
+        2.0
+        * np.abs(z1 * w2 - z2 * w1)
+        / (np.hypot(np.abs(z1), np.abs(w1)) * np.hypot(np.abs(z2), np.abs(w2)))
+    )
+
+
+def _translate_screen(axis, entries):
+    """Rows whose translate of the axis the scalar scan must look at.
+
+    A row is left out when it surely stabilizes the axis, or when its
+    translate is surely a proper line that shares no endpoint with the
+    axis, does not cross it and stays clear of the nearest translate.
+
+    Roundoff slack: an image w p is off in direction by 7 eps M |p| / |w p|
+    (M the largest entry of w), so chordal distances get a slack of
+    32 eps (1 + r_p + r_q) with r = M |p| / |w p|.  The trace t of
+    h w h w^-1, h the half-turn about the axis, is off by at most
+    512 eps (1 + M^2) |h|^2, the slack in t and in cosh of the distance,
+    (|t/2 - 1| + |t/2 + 1|) / 2; the nearest translates keep a further
+    relative 1e-9 for the scalar route through the translated endpoints.
+    """
+    p, q = axis.p, axis.q
+    a, b, c, d = entries.T
+    pz, pw = a * p.z + b * p.w, c * p.z + d * p.w
+    qz, qw = a * q.z + b * q.w, c * q.z + d * q.w
+    big = np.abs(entries).max(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        to_p = _chordal(pz, pw, p.z, p.w), _chordal(qz, qw, p.z, p.w)
+        to_q = _chordal(pz, pw, q.z, q.w), _chordal(qz, qw, q.z, q.w)
+        proper = _chordal(pz, pw, qz, qw)
+        stretch = big * (
+            math.hypot(abs(p.z), abs(p.w)) / np.hypot(np.abs(pz), np.abs(pw))
+            + math.hypot(abs(q.z), abs(q.w)) / np.hypot(np.abs(qz), np.abs(qw))
+        )
+    slack = 32 * _EPS * (1.0 + stretch)
+    below, above = CHORDAL_TOL - slack, CHORDAL_TOL + slack
+    stabilizer = ((to_p[0] < below) & (to_q[1] < below)) | (
+        (to_q[0] < below) & (to_p[1] < below)
+    )
+    apart = (
+        (proper > above)
+        & (to_p[0] > above) & (to_p[1] > above)
+        & (to_q[0] > above) & (to_q[1] > above)
+    )
+    try:
+        h = halfturn_matrix(axis)
+    except NearSingular:
+        # the scalar separation fails on every translate: scan them all
+        return ~stabilizer
+
+    g = conjugate_rows(h, entries)
+    t = h.a * g[:, 0] + h.b * g[:, 2] + h.c * g[:, 1] + h.d * g[:, 3]
+    size = max(abs(h.a), abs(h.b), abs(h.c), abs(h.d))
+    error = 512 * _EPS * (1.0 + big**2) * size**2
+    z = t / 2.0
+    x = (np.abs(z - 1.0) + np.abs(z + 1.0)) / 2.0
+    # a crossing, or a product the scalar code takes for elliptic or
+    # parabolic, both of which it reports at distance 0
+    near_real = np.abs(t.imag) <= TOL_TRACE + error
+    crossing = ~(x - error > _COSH_INTERSECTION) | (
+        near_real & (np.abs(t.real) <= 2.0 + TOL_TRACE + error)
+    )
+    scan = ~stabilizer & (~apart | crossing)
+    clear = ~stabilizer & ~scan
+    if clear.any():
+        reach = (x[clear] + error[clear]).min() * (1.0 + 1e-9)
+        scan |= clear & (x - error <= reach)
+    return scan
+
+
 def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
     """Scan ball translates of the axis for a crossing.
 
@@ -64,11 +145,15 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
     Otherwise the geodesic is simple up to this bound and half the smallest
     translate distance is a tube radius bound (infinite when the whole ball
     stabilizes the axis).
+
+    A numpy screen of the whole ball picks the words to scan; the scalar
+    test runs on them in ball order, so witnesses and distances are its.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     closest = math.inf
-    for word in ball:
+    for i in np.flatnonzero(_translate_screen(axis, ball_entries(ball))).tolist():
+        word = ball[i]
         translate = transform_line(word.matrix, axis)
         if same_line(translate, axis):
             continue

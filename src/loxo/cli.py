@@ -28,13 +28,13 @@ from .pipeline import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     RunConfig,
-    _circle_json,
-    _entry_json,
-    _line_json,
-    _simplicity_json,
+    circle_json,
     classify_manifold,
     emit_report,
+    entry_json,
+    line_json,
     load_group_file,
+    simplicity_json,
 )
 
 _MATRIX_HELP = "eight floats: a_re a_im b_re b_im c_re c_im d_re d_im"
@@ -105,8 +105,8 @@ def _cmd_decompose(args):
     first, second = decompose(m, free_choice=free, tol_trace=args.tol)
     data = {
         "kind": classify(m, args.tol).kind,
-        "first_axis": _line_json(first.axis),
-        "second_axis": _line_json(second.axis),
+        "first_axis": line_json(first.axis),
+        "second_axis": line_json(second.axis),
     }
     _print(data, args.format)
     return EXIT_OK
@@ -117,9 +117,9 @@ def _cmd_shared_decomposition(args):
     beta = _matrix_from(args.second)
     fac = shared_factorization(alpha, beta, args.tol)
     data = {
-        "first_axis": _line_json(fac.first.axis),
-        "shared_axis": _line_json(fac.shared.axis),
-        "second_axis": _line_json(fac.second.axis),
+        "first_axis": line_json(fac.first.axis),
+        "shared_axis": line_json(fac.shared.axis),
+        "second_axis": line_json(fac.second.axis),
     }
     _print(data, args.format)
     return EXIT_OK
@@ -129,7 +129,7 @@ def _cmd_invariant_plane(args):
     alpha = _matrix_from(args.first)
     beta = _matrix_from(args.second)
     plane = invariant_plane(alpha, beta, tol_trace=args.tol)
-    _print({"plane": _circle_json(plane)}, args.format)
+    _print({"plane": circle_json(plane)}, args.format)
     return EXIT_OK
 
 
@@ -167,7 +167,7 @@ def _cmd_spectrum(args):
         return EXIT_OK
     _print(
         {
-            "entries": [_entry_json(e) for e in entries],
+            "entries": [entry_json(e) for e in entries],
             "warnings": warnings,
         },
         args.format,
@@ -181,7 +181,7 @@ def _cmd_shortest_screw(args):
     entry = shortest_screw(group, config.max_word_len, config.tol_trace)
     data = {
         "found": entry is not None,
-        "entry": _entry_json(entry) if entry else None,
+        "entry": entry_json(entry) if entry else None,
         "warnings": warnings,
     }
     _print(data, args.format)
@@ -198,7 +198,7 @@ def _cmd_check_simple(args):
     )
     data = {
         "word": word.name,
-        "simplicity": _simplicity_json(report),
+        "simplicity": simplicity_json(report),
         "warnings": warnings,
     }
     _print(data, args.format)

@@ -7,18 +7,23 @@ merge store quantizes matrix entries to a grid three orders of magnitude
 coarser than the merge tolerance and probes neighboring cells near grid
 boundaries, so equal elements are never split by rounding.
 
-The surveys built on the ball: the length spectrum (one entry per geodesic,
-translates identified by conjugating the axis half-turn through the ball),
+The ball keeps its words' entries as one (N, 4) complex array, built a level
+at a time in numpy.  The surveys built on the ball (the length spectrum,
 the shortest screw motion, and group-level tests for preserved planes and
-elementary behavior.
+elementary behavior) screen that array in one pass and run the scalar
+tests only on the words the screen cannot decide.
 """
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import BudgetExceeded, PlaneVerificationFailed, ScrewInput
+from .errors import (
+    BudgetExceeded,
+    NearSingular,
+    PlaneVerificationFailed,
+    ScrewInput,
+)
 from .geometry import (
     PLANE_TOL,
     axis_of,
@@ -30,6 +35,8 @@ from .geometry import (
 )
 from .halfturn import invariant_plane
 from .isometry import (
+    SIGN_TOL,
+    TOL_DET,
     TOL_TRACE,
     MoebiusIsometry,
     classify,
@@ -44,6 +51,24 @@ DEFAULT_CAP = 10**7
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
+# A cell key is the linear hash sum(m_k * n_k) mod 2^64 of the eight cell
+# indices n_k, so the neighbouring cell along coordinate k has key +- m_k.
+# Two cells sharing a key only cost an extra distance confirm.
+_CELL_HASH = (
+    0xC8764D7EDB5586AF, 0x5457DA22336DA9D9, 0x1053383AC7EC2C93,
+    0x7513BDA5DD0FC8A1, 0xF3CB002680986DE3, 0xCA8B43828B863917,
+    0xD53C68DB1D969E0F, 0xE042D32C3886B777,
+)
+_CELL_HASH_ARRAY = np.array(_CELL_HASH, dtype=np.uint64)
+_KEY_MASK = (1 << 64) - 1
+# cell indices up to this size convert to int64 exactly; larger ones are
+# hashed from Python ints
+_NUMPY_CELL_LIMIT = float(2**62)
+
+
+def _cell_key(cells):
+    return sum(m * n for m, n in zip(_CELL_HASH, cells)) & _KEY_MASK
+
 
 class MatrixStore:
     """Quantized index of PSL(2, C) matrices.
@@ -53,14 +78,22 @@ class MatrixStore:
     adjacent cell for coordinates within tol of a cell boundary, then
     confirm with an exact distance test, so the grid never separates
     matrices that are genuinely within tol of each other.
+
+    Stored matrices live as rows of one complex array, and a cell holds
+    the row number of its one matrix or a list of them.  ``add_rows``
+    merges a whole array of candidates in order; a row it adds carries its
+    row number as its value.
     """
 
-    __slots__ = ("quant", "tol", "_cells")
+    __slots__ = ("quant", "tol", "_cells", "_rows", "_count", "_values")
 
     def __init__(self, quant=MERGE_QUANT, tol=MERGE_TOL):
         self.quant = quant
         self.tol = tol
         self._cells = {}
+        self._rows = np.empty((16, 4), dtype=complex)
+        self._count = 0
+        self._values = {}
 
     @staticmethod
     def _coords(m):
@@ -74,36 +107,122 @@ class MatrixStore:
         return tuple(math.floor(v / q + 0.5) for v in coords)
 
     def _probes(self, coords):
+        """Keys of the cell of coords and of the neighbours within tol."""
         q = self.quant
         slack = self.tol / q
-        options = []
-        for v in coords:
+        keys = [_cell_key(self._primary(coords))]
+        for step, v in zip(_CELL_HASH, coords):
             x = v / q
-            base = math.floor(x + 0.5)
-            cells = [base]
-            frac = x - base
+            frac = x - math.floor(x + 0.5)
             if frac > 0.5 - slack:
-                cells.append(base + 1)
+                keys += [(key + step) & _KEY_MASK for key in keys]
             elif frac < -0.5 + slack:
-                cells.append(base - 1)
-            options.append(cells)
-        return itertools.product(*options)
+                keys += [(key - step) & _KEY_MASK for key in keys]
+        return keys
+
+    def _reserve(self, n):
+        if self._count + n > len(self._rows):
+            grown = np.empty(
+                (max(2 * len(self._rows), self._count + n), 4), dtype=complex
+            )
+            grown[: self._count] = self._rows[: self._count]
+            self._rows = grown
+
+    def _file(self, key, index):
+        bucket = self._cells.get(key)
+        if bucket is None:
+            self._cells[key] = index
+        elif isinstance(bucket, int):
+            self._cells[key] = [bucket, index]
+        else:
+            bucket.append(index)
+
+    def _cell(self, key):
+        bucket = self._cells.get(key, ())
+        return (bucket,) if isinstance(bucket, int) else bucket
 
     def find(self, m):
-        coords = self._coords(m)
-        for key in self._probes(coords):
-            for stored, value in self._cells.get(key, ()):
+        for key in self._probes(self._coords(m)):
+            for index in self._cell(key):
+                stored = _isometry(*self._rows[index].tolist())
                 if m.psl_distance(stored) <= self.tol:
-                    return value
+                    return self._values.get(index, index)
         return None
 
     def add(self, m, value):
         coords = self._coords(m)
-        for key in (
-            self._primary(coords),
-            self._primary(tuple(-v for v in coords)),
-        ):
-            self._cells.setdefault(key, []).append((m, value))
+        self._reserve(1)
+        index = self._count
+        self._rows[index] = (m.a, m.b, m.c, m.d)
+        self._count += 1
+        self._values[index] = value
+        self._file(_cell_key(self._primary(coords)), index)
+        self._file(_cell_key(self._primary(tuple(-v for v in coords))), index)
+
+    def add_rows(self, rows):
+        """Add each row of an (n, 4) complex array unless it merges.
+
+        Rows are taken in order: a row within tol of a stored matrix or of
+        an earlier row of the array is skipped.  Returns the indices of the
+        rows added.
+        """
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        coords = rows.view(np.float64)
+        x = coords / self.quant
+        base = np.floor(x + 0.5)
+        keys = self._row_keys(base)
+        flipped_keys = self._row_keys(np.floor(0.5 - x))
+        # rows with a coordinate within tol of a cell boundary also probe
+        # the neighbouring cells
+        near = np.abs(x - base) > 0.5 - self.tol / self.quant
+        probes = {
+            i: self._probes(tuple(coords[i].tolist()))[1:]
+            for i in np.flatnonzero(near.any(axis=1)).tolist()
+        }
+
+        start = self._count
+        kept = []
+
+        def merges(key, i):
+            row = _isometry(*rows[i].tolist())
+            for index in self._cell(key):
+                if index < start:
+                    stored = self._rows[index]
+                else:
+                    stored = rows[kept[index - start]]
+                if row.psl_distance(_isometry(*stored.tolist())) <= self.tol:
+                    return True
+            return False
+
+        cells = self._cells
+        for i, key in enumerate(keys):
+            if key in cells and merges(key, i):
+                continue
+            extra = probes.get(i)
+            if extra and any(merges(k, i) for k in extra):
+                continue
+            index = start + len(kept)
+            kept.append(i)
+            self._file(key, index)
+            self._file(flipped_keys[i], index)
+        self._reserve(len(kept))
+        self._rows[start : start + len(kept)] = rows[kept]
+        self._count += len(kept)
+        return kept
+
+    @staticmethod
+    def _row_keys(cells):
+        """Keys of an (n, 8) float array of cell indices, as Python ints."""
+        if not len(cells):
+            return []
+        big = ~(np.abs(cells) < _NUMPY_CELL_LIMIT).all(axis=1)
+        keys = (
+            np.where(big[:, None], 0.0, cells).astype(np.int64).view(np.uint64)
+            * _CELL_HASH_ARRAY
+        ).sum(axis=1, dtype=np.uint64).tolist()
+        for i in np.flatnonzero(big).tolist():
+            keys[i] = _cell_key(int(v) for v in cells[i])
+        return keys
 
 
 class GroupPresentation:
@@ -165,43 +284,273 @@ class GroupWord:
         return "GroupWord(%r)" % (self.name,)
 
 
+class Ball(list):
+    """Words of a ball in shortlex order, with their entries as one array.
+
+    ``entries`` is an (N, 4) complex array whose row i holds the (a, b, c,
+    d) of ``self[i].matrix`` bit for bit.
+    """
+
+    __slots__ = ("entries",)
+
+
+def ball_entries(ball):
+    """The (N, 4) entry array of a ball, or of any list of words."""
+    if isinstance(ball, Ball):
+        return ball.entries
+    return np.array(
+        [(w.matrix.a, w.matrix.b, w.matrix.c, w.matrix.d) for w in ball],
+        dtype=complex,
+    ).reshape(-1, 4)
+
+
+def _isometry(a, b, c, d):
+    # entries already of unit determinant and canonical sign
+    m = object.__new__(MoebiusIsometry)
+    m.a, m.b, m.c, m.d = a, b, c, d
+    return m
+
+
+# CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
+# times it, whose 0.0 * Im term can change the sign of a zero real part;
+# the canonical sign below repeats this interpreter's rule bit for bit.
+_FLOAT_TIMES_COMPLEX_WIDENS = (
+    math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
+)
+# parents per numpy pass, so that a level's temporaries stay bounded
+_LEVEL_CHUNK = 2048
+
+
+def _products(parents, letters):
+    """Row (p, l) of p * l for every parent row p and letter row l.
+
+    Real and imaginary parts are formed as CPython's complex product and
+    sum form them, so each entry equals MoebiusIsometry.__mul__'s before
+    normalization.  numpy's own complex multiply may differ in the last
+    bit.
+    """
+    p_re, p_im = parents.real[:, None, :], parents.imag[:, None, :]
+    l_re, l_im = letters.real[None, :, :], letters.imag[None, :, :]
+
+    def entry(i, j, k, l):
+        # parent[i] * letter[j] + parent[k] * letter[l]
+        re = (p_re[..., i] * l_re[..., j] - p_im[..., i] * l_im[..., j]) + (
+            p_re[..., k] * l_re[..., l] - p_im[..., k] * l_im[..., l]
+        )
+        im = (p_re[..., i] * l_im[..., j] + p_im[..., i] * l_re[..., j]) + (
+            p_re[..., k] * l_im[..., l] + p_im[..., k] * l_re[..., l]
+        )
+        return re, im
+
+    out = np.empty(parents.shape[:1] + letters.shape[:1] + (4,), dtype=complex)
+    for slot, (i, j, k, l) in enumerate(
+        ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
+    ):
+        out.real[..., slot], out.imag[..., slot] = entry(i, j, k, l)
+    return out
+
+
+def _canonical_rows(raw):
+    """Rows as MoebiusIsometry would store them, and its error if any.
+
+    The canonical sign is taken in numpy for rows of unit determinant
+    (within TOL_DET / 2, so no row near the rescale test relies on numpy's
+    hypot) whose trace has a part above the sign threshold.  Every other
+    row goes through MoebiusIsometry itself.  When that raises, the rows
+    before the failing one are returned with the exception.
+    """
+    ar, ai = raw.real[:, 0], raw.imag[:, 0]
+    br, bi = raw.real[:, 1], raw.imag[:, 1]
+    cr, ci = raw.real[:, 2], raw.imag[:, 2]
+    dr, di = raw.real[:, 3], raw.imag[:, 3]
+    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+    tr, ti = ar + dr, ai + di
+    by_real = np.abs(tr) > SIGN_TOL
+    scalar = ~(np.hypot(det_re - 1.0, det_im) <= TOL_DET / 2) | ~(
+        by_real | (np.abs(ti) > SIGN_TOL)
+    )
+    s = np.where(by_real, np.where(tr > 0.0, 1.0, -1.0),
+                 np.where(ti > 0.0, 1.0, -1.0))[:, None]
+    rows = np.empty_like(raw)
+    if _FLOAT_TIMES_COMPLEX_WIDENS:
+        rows.real[:] = s * raw.real - 0.0 * raw.imag
+        rows.imag[:] = s * raw.imag + 0.0 * raw.real
+    else:
+        rows.real[:] = s * raw.real
+        rows.imag[:] = s * raw.imag
+    for i in np.flatnonzero(scalar).tolist():
+        try:
+            m = MoebiusIsometry(*raw[i].tolist())
+        except NearSingular as exc:
+            return rows[:i], exc
+        rows[i] = (m.a, m.b, m.c, m.d)
+    return rows, None
+
+
 def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     """All distinct non-identity elements spelled by words up to the bound.
 
     Words come out in shortlex order and the surviving set is closed under
     prefixes: a word that merges with an earlier one (or with the identity)
-    is dropped and never extended.
+    is dropped and never extended.  The result is a Ball: the list of
+    words, with their entries as one array.
     """
-    letters = list(range(2 * group.rank))
+    n_letters = 2 * group.rank
+    letter_rows = np.array(
+        [
+            (m.a, m.b, m.c, m.d)
+            for m in (group.letter_matrix(l) for l in range(n_letters))
+        ],
+        dtype=complex,
+    ).reshape(-1, 4)
+    labels = [group.letter_label(l) for l in range(n_letters)]
+    identity = MoebiusIsometry.identity()
     seen = MatrixStore()
-    seen.add(MoebiusIsometry.identity(), "")
-    ball = []
-    frontier = [GroupWord((), "", MoebiusIsometry.identity())]
-    for _ in range(max_word_len):
+    seen.add(identity, "")
+    ball = Ball()
+    levels = []
+    frontier = [GroupWord((), "", identity)]
+    frontier_rows = np.array([(identity.a, identity.b, identity.c, identity.d)])
+    frontier_last = np.array([-2])
+    letter_index = np.arange(n_letters)
+    for length in range(1, max_word_len + 1):
+        level_rows = []
+        level_last = []
         next_frontier = []
-        for parent in frontier:
-            last = parent.letters[-1] if parent.letters else None
-            for letter in letters:
-                if last is not None and letter == last ^ 1:
-                    continue
-                matrix = parent.matrix * group.letter_matrix(letter)
-                if seen.find(matrix) is not None:
-                    continue
+        for start in range(0, len(frontier), _LEVEL_CHUNK):
+            stop = start + _LEVEL_CHUNK
+            # free reduction: no letter right after its inverse
+            allowed = letter_index[None, :] != (frontier_last[start:stop] ^ 1)[:, None]
+            parent_of, letter_of = np.nonzero(allowed)
+            raw = _products(frontier_rows[start:stop], letter_rows)[allowed]
+            rows, error = _canonical_rows(raw)
+            kept = seen.add_rows(rows)
+            rows = rows[kept]
+            letters = letter_of[kept]
+            for parent, letter, (a, b, c, d) in zip(
+                parent_of[kept].tolist(), letters.tolist(), rows.tolist()
+            ):
+                parent = frontier[start + parent]
                 word = GroupWord(
                     parent.letters + (letter,),
-                    group.word_name(parent.letters + (letter,)),
-                    matrix,
+                    parent.name + " " + labels[letter]
+                    if parent.name
+                    else labels[letter],
+                    _isometry(a, b, c, d),
                 )
-                seen.add(matrix, word.name)
                 ball.append(word)
                 next_frontier.append(word)
-                if len(ball) > cap:
-                    raise BudgetExceeded(
-                        "ball exceeds %d elements at radius %d"
-                        % (cap, word.length)
-                    )
+            if len(ball) > cap:
+                raise BudgetExceeded(
+                    "ball exceeds %d elements at radius %d" % (cap, length)
+                )
+            if error is not None:
+                raise error
+            level_rows.append(rows)
+            level_last.append(letters)
+        if not next_frontier:
+            break
         frontier = next_frontier
+        frontier_rows = np.concatenate(level_rows)
+        frontier_last = np.concatenate(level_last)
+        levels.append(frontier_rows)
+    ball.entries = (
+        np.concatenate(levels) if levels else np.empty((0, 4), dtype=complex)
+    )
     return ball
+
+
+# kind codes of _trace_kinds
+_IDENTITY, _PARABOLIC, _ELLIPTIC, _HYPERBOLIC, _SCREW, _UNDECIDED = range(6)
+_KIND_CODES = {
+    "identity": _IDENTITY,
+    "parabolic": _PARABOLIC,
+    "elliptic": _ELLIPTIC,
+    "hyperbolic": _HYPERBOLIC,
+    "screw": _SCREW,
+}
+_EPS = float(np.finfo(float).eps)
+
+
+def _trace_kinds(entries, tol_trace):
+    """classify's kind of each row, or _UNDECIDED where it must run.
+
+    The tests repeat classify's float operations on the same entries, so
+    numpy and the scalar code can differ only in the last bit of a hypot.
+    A row with a tested quantity within 1e-12 of its threshold, a row in
+    the band where classify raises, and a row that is not finite are left
+    undecided.
+    """
+    a, b, c, d = entries.T
+    t = a + d
+    off = np.maximum(np.abs(b), np.abs(c))
+    identity = np.minimum(
+        np.maximum(np.maximum(np.abs(a - 1.0), np.abs(d - 1.0)), off),
+        np.maximum(np.maximum(np.abs(a + 1.0), np.abs(d + 1.0)), off),
+    )
+    parabolic = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
+    imag = np.abs(t.imag)
+    real = np.abs(t.real)
+    kinds = np.select(
+        [
+            identity <= tol_trace,
+            parabolic <= tol_trace,
+            imag > tol_trace,
+            real > 2.0,
+            real < 2.0 - tol_trace,
+        ],
+        [_IDENTITY, _PARABOLIC, _SCREW, _HYPERBOLIC, _ELLIPTIC],
+        _UNDECIDED,
+    )
+    for q, threshold in (
+        (identity, tol_trace),
+        (parabolic, tol_trace),
+        (imag, tol_trace),
+        (real, 2.0),
+        (real, 2.0 - tol_trace),
+    ):
+        kinds[~(np.abs(q - threshold) > 1e-12)] = _UNDECIDED
+    kinds[~np.isfinite(entries).all(axis=1)] = _UNDECIDED
+    return kinds
+
+
+def _cosh_half_length(t):
+    """cosh(l / 2) for l the translation length of trace t."""
+    z = t / 2.0
+    return (np.abs(z - 1.0) + np.abs(z + 1.0)) / 2.0
+
+
+def _keeps_plane(entries, circle, tol):
+    """Rows that surely pass preserves_circle(w, circle, tol).
+
+    The form N^* H N, N = w^-1, is built as transform_circle builds it.
+    Its entries sum terms up to M^2 |H| (M the largest entry of w, |H| of
+    the form), and normalizing by |B|^2 - A C multiplies their roundoff by
+    up to 1 + 2 |H|^2.  A row passes when its deviation stays below tol by
+    64 eps M^2 |H| (1 + 2 |H|^2), over twice what either computation can
+    be off by.
+    """
+    A, B, C = circle.signed_triple()
+    a, b, c, d = entries.T
+    na, nb, nc, nd = d, -b, -c, a
+    h00 = A * na + B * nc
+    h01 = A * nb + B * nd
+    h10 = B.conjugate() * na + C * nc
+    h11 = B.conjugate() * nb + C * nd
+    pa = (na.conj() * h00 + nc.conj() * h10).real
+    pb = na.conj() * h01 + nc.conj() * h11
+    pd = (nb.conj() * h01 + nd.conj() * h11).real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = 1.0 / np.sqrt(np.abs(pb) ** 2 - pa * pd)
+    deviation = np.maximum(
+        np.maximum(np.abs(pa * scale - A), np.abs(pb * scale - B)),
+        np.abs(pd * scale - C),
+    )
+    size = max(abs(A), abs(B), abs(C))
+    big = np.abs(entries).max(axis=1)
+    slack = 64 * _EPS * big**2 * size * (1.0 + 2.0 * size**2)
+    return deviation + slack <= tol
 
 
 class SpectrumEntry:
@@ -233,26 +582,34 @@ _WEIGHTS = np.array([0.97, 0.83, 0.71, 0.59, 0.43, 0.31, 0.23, 0.11])
 _WEIGHT_SUM = float(_WEIGHTS.sum())
 
 
-class _AxisOrbit:
-    """All w h w^-1 for w the identity or a ball element, one row each.
+def conjugate_rows(h, entries):
+    """Rows of w h w^-1 for each unit-determinant row w of entries.
 
-    Rows of the ball array are (a, b, c, d) of unit determinant, so the
-    inverse of w is [[d, -b], [-c, a]].  Rows are sorted by their
-    |projection| so that a lookup confirms only the rows near its own.
+    The inverse of w = (a, b, c, d) is (d, -b, -c, a).
+    """
+    a, b, c, d = entries.T
+    p = a * h.a + b * h.c
+    q = a * h.b + b * h.d
+    r = c * h.a + d * h.c
+    s = c * h.b + d * h.d
+    return np.stack(
+        (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b), axis=1
+    )
+
+
+class _AxisOrbit:
+    """h and all w h w^-1 for w a ball element, one row each.
+
+    Rows are sorted by their |projection| so that a lookup confirms only
+    the rows near its own.
     """
 
     __slots__ = ("rows", "keys", "scale")
 
-    def __init__(self, h, ball_array):
-        a, b, c, d = ball_array.T
-        p = a * h.a + b * h.c
-        q = a * h.b + b * h.d
-        r = c * h.a + d * h.c
-        s = c * h.b + d * h.d
-        rows = np.stack(
-            (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b),
-            axis=1,
-        )
+    def __init__(self, h, entries):
+        rows = np.empty((len(entries) + 1, 4), dtype=complex)
+        rows[0] = (h.a, h.b, h.c, h.d)
+        rows[1:] = conjugate_rows(h, entries)
         keys = np.abs(rows.view(np.float64) @ _WEIGHTS)
         order = np.argsort(keys)
         self.rows = rows[order]
@@ -312,11 +669,7 @@ def spectrum(
         )
     candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
 
-    ball_array = np.array(
-        [(1.0, 0.0, 0.0, 1.0)]
-        + [(w.matrix.a, w.matrix.b, w.matrix.c, w.matrix.d) for w in ball],
-        dtype=complex,
-    )
+    entries = ball_entries(ball)
     kept = []
     # Kept reps whose length is within 1e-7 of the current candidate, as
     # [rep, its half-turn, its orbit array]; both are filled in on first
@@ -336,7 +689,7 @@ def spectrum(
             if orbit is None:
                 if rep_h is None:
                     rep_h = halfturn_matrix(rep.axis)
-                orbit = slot[2] = _AxisOrbit(rep_h, ball_array)
+                orbit = slot[2] = _AxisOrbit(rep_h, entries)
             if orbit.contains(target):
                 break
         else:
@@ -349,9 +702,20 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     """Screw element of least translation length, shortlex tie-break."""
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
+    entries = ball_entries(ball)
+    kinds = _trace_kinds(entries, tol_trace)
+    scan = kinds == _UNDECIDED
+    screws = np.flatnonzero(kinds == _SCREW)
+    if screws.size:
+        # cosh(l / 2) grows with the length l; numpy's value and the one
+        # behind complex_length's arccosh differ by a few ulps, far inside
+        # the relative slack of 1e-12
+        x = _cosh_half_length(entries[screws, 0] + entries[screws, 3])
+        scan[screws[x <= x.min() * (1.0 + 1e-12)]] = True
     best = None
     best_key = None
-    for word in ball:
+    for i in np.flatnonzero(scan).tolist():
+        word = ball[i]
         cls = classify(word.matrix, tol_trace)
         if cls.kind != "screw":
             continue
@@ -408,13 +772,18 @@ def fuchsian_test(
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
-    hyperbolic = []
-    for word in ball:
-        kind = classify(word.matrix, tol_trace).kind
+    entries = ball_entries(ball)
+    kinds = _trace_kinds(entries, tol_trace)
+    screws = np.flatnonzero(kinds == _SCREW)
+    stop = int(screws[0]) if screws.size else len(ball)
+    for i in np.flatnonzero(kinds[:stop] == _UNDECIDED).tolist():
+        kind = classify(ball[i].matrix, tol_trace).kind
         if kind == "screw":
-            return FuchsianResult("screw_found", witness=word)
-        if kind == "hyperbolic":
-            hyperbolic.append(word)
+            return FuchsianResult("screw_found", witness=ball[i])
+        kinds[i] = _KIND_CODES[kind]
+    if stop < len(ball):
+        return FuchsianResult("screw_found", witness=ball[stop])
+    hyperbolic = [ball[i] for i in np.flatnonzero(kinds == _HYPERBOLIC).tolist()]
 
     pair = None
     for i, u in enumerate(hyperbolic):
@@ -442,9 +811,9 @@ def fuchsian_test(
         plane = invariant_plane(u.matrix, v.matrix, tol_trace, tol)
     except (ScrewInput, PlaneVerificationFailed):
         return FuchsianResult("plane_failed")
-    for word in ball:
-        if not preserves_circle(word.matrix, plane, tol):
-            return FuchsianResult("plane_failed", witness=word)
+    for i in np.flatnonzero(~_keeps_plane(entries, plane, tol)).tolist():
+        if not preserves_circle(ball[i].matrix, plane, tol):
+            return FuchsianResult("plane_failed", witness=ball[i])
     return FuchsianResult("all_non_screw_with_plane", plane=plane)
 
 

@@ -24,7 +24,7 @@ TOL_TRACE = 1e-9
 CHORDAL_TOL = 1e-9
 
 # Threshold for sign decisions inside the canonical representative rule.
-_SIGN_TOL = 1e-12
+SIGN_TOL = 1e-12
 
 IDENTITY_CLASS = "identity"
 PARABOLIC = "parabolic"
@@ -41,13 +41,13 @@ def _canonical_sign(a, b, c, d):
     meaningful size; determinant one guarantees such an entry exists.
     """
     t = a + d
-    if abs(t.real) > _SIGN_TOL:
+    if abs(t.real) > SIGN_TOL:
         return 1.0 if t.real > 0.0 else -1.0
-    if abs(t.imag) > _SIGN_TOL:
+    if abs(t.imag) > SIGN_TOL:
         return 1.0 if t.imag > 0.0 else -1.0
     for e in (a, b, c):
-        if abs(e) > _SIGN_TOL:
-            if abs(e.real) > _SIGN_TOL:
+        if abs(e) > SIGN_TOL:
+            if abs(e.real) > SIGN_TOL:
                 return 1.0 if e.real > 0.0 else -1.0
             return 1.0 if e.imag > 0.0 else -1.0
     return 1.0
@@ -350,7 +350,7 @@ def fixed_points(m, tol_trace=TOL_TRACE):
     qb = m.d - m.a
     qc = -m.b
     if abs(t - 2.0) <= tol_trace or abs(t + 2.0) <= tol_trace:
-        if abs(qa) > _SIGN_TOL:
+        if abs(qa) > SIGN_TOL:
             return (BoundaryPoint(-qb, 2.0 * qa),)
         return (BoundaryPoint.infinity(),)
     sq = cmath.sqrt(t * t - 4.0)

@@ -35,13 +35,21 @@ from .errors import (
     SingularGenerator,
 )
 from .geometry import axis_of, same_line
-from .isometry import TOL_TRACE, MoebiusIsometry, classify, complex_length
+from .isometry import (
+    TOL_DET,
+    TOL_TRACE,
+    MoebiusIsometry,
+    classify,
+    complex_length,
+)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_WORD_LEN_LIMIT = 12
+# load_group_file warns when a generator's determinant is this far from 1
+RESCALE_WARN_TOL = 1e-9
 
 
 class RunConfig:
@@ -86,11 +94,11 @@ def _point_json(p):
     return [z.real, z.imag]
 
 
-def _line_json(line):
+def line_json(line):
     return [_point_json(line.p), _point_json(line.q)]
 
 
-def _circle_json(circle):
+def circle_json(circle):
     return {
         "coefficient_a": circle.a,
         "coefficient_b": [circle.b.real, circle.b.imag],
@@ -99,17 +107,17 @@ def _circle_json(circle):
     }
 
 
-def _entry_json(entry):
+def entry_json(entry):
     return {
         "word": entry.word.name,
         "kind": entry.kind,
         "length": entry.length,
         "angle": entry.angle,
-        "axis": _line_json(entry.axis),
+        "axis": line_json(entry.axis),
     }
 
 
-def _simplicity_json(report):
+def simplicity_json(report):
     data = {
         "verdict": report.verdict,
         "witness": report.witness.name if report.witness else None,
@@ -136,8 +144,8 @@ class SimpleGeodesicFound:
 
     def detail(self):
         return {
-            "geodesic": _entry_json(self.entry),
-            "simplicity": _simplicity_json(self.report),
+            "geodesic": entry_json(self.entry),
+            "simplicity": simplicity_json(self.report),
         }
 
 
@@ -156,7 +164,7 @@ class ThricePuncturedSphereEvidence:
     def detail(self):
         return {
             "parabolic_pair": [self.first.name, self.second.name],
-            "plane": _circle_json(self.plane),
+            "plane": circle_json(self.plane),
         }
 
 
@@ -418,7 +426,7 @@ def load_group_file(path, tol_trace=TOL_TRACE):
         c = _parse_complex(rows[1][0], where + ".matrix[1][0]")
         d = _parse_complex(rows[1][1], where + ".matrix[1][1]")
         det = a * d - b * c
-        if abs(det - 1.0) > 1e-9 and abs(det) > 1e-12:
+        if abs(det - 1.0) > RESCALE_WARN_TOL and abs(det) > TOL_DET:
             warnings.append(
                 "generator %s has determinant %r; rescaled to det 1"
                 % (label, det)

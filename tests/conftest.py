@@ -8,9 +8,12 @@ model instead of the library's half-turn trace formula.
 
 import cmath
 import math
+import os
 import random
 
+from loxo.enumeration import GroupPresentation
 from loxo.isometry import MoebiusIsometry, BoundaryPoint
+from loxo.pipeline import load_group_file
 
 # ---------------------------------------------------------------------------
 # samplers
@@ -165,6 +168,34 @@ FIGURE_EIGHT = (
 SINGLE_HYPERBOLIC = (("a", MoebiusIsometry(2.0, 0.0, 0.0, 0.5)),)
 
 SINGLE_PARABOLIC = (("a", MoebiusIsometry(1.0, 1.0, 0.0, 1.0)),)
+
+
+def reference_groups():
+    """(name, group) pairs on which the ball kernels meet their references:
+    the four fixtures, a funnel group and a punctured-torus group."""
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    groups = [
+        (name, load_group_file(os.path.join(fixtures, name + ".json"))[0])
+        for name in (
+            "figure_eight",
+            "thrice_punctured",
+            "diag_hyperbolic",
+            "single_parabolic",
+        )
+    ]
+    groups.append((
+        "funnel",
+        GroupPresentation(
+            [MoebiusIsometry(1, 2, 0, 1), MoebiusIsometry(1, 0, 3, 1)]
+        ),
+    ))
+    groups.append((
+        "torus",
+        GroupPresentation(
+            [MoebiusIsometry(1, 1, 1, 2), MoebiusIsometry(1, -1, -1, 2)]
+        ),
+    ))
+    return groups
 
 
 def seeded(name):

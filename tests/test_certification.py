@@ -9,12 +9,23 @@ from loxo.certification import (
     max_parabolic_length_at_depth,
     simplicity_check,
 )
-from loxo.enumeration import GroupPresentation, spectrum
+from loxo.enumeration import (
+    GroupPresentation,
+    enumerate_ball,
+    shortest_screw,
+    spectrum,
+)
 from loxo.errors import OutOfRange
-from loxo.geometry import axis_of
-from loxo.isometry import MoebiusIsometry
+from loxo.geometry import (
+    INTERSECTION_TOL,
+    axis_of,
+    geodesic_separation,
+    same_line,
+    transform_line,
+)
+from loxo.isometry import MoebiusIsometry, classify
 
-from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, seeded
+from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, reference_groups, seeded
 
 
 def presentation(pairs):
@@ -62,9 +73,6 @@ def test_witness_is_first_in_shortlex():
     word = group.word((0, 2))
     axis = axis_of(word.matrix)
     report = simplicity_check(group, axis, 6)
-    from loxo.enumeration import enumerate_ball
-    from loxo.geometry import geodesic_separation, same_line, transform_line
-
     for earlier in enumerate_ball(group, 6):
         if earlier.sort_key >= report.witness.sort_key:
             break
@@ -72,6 +80,47 @@ def test_witness_is_first_in_shortlex():
         if same_line(translate, axis):
             continue
         assert geodesic_separation(translate, axis).distance >= 1e-7
+
+
+def reference_simplicity_check(axis, ball):
+    """simplicity_check as a scalar loop over every ball word."""
+    closest = math.inf
+    for word in ball:
+        translate = transform_line(word.matrix, axis)
+        if same_line(translate, axis):
+            continue
+        sep = geodesic_separation(translate, axis)
+        if sep.distance < INTERSECTION_TOL:
+            return ("self_intersecting", word, sep.distance, sep.angle)
+        closest = min(closest, sep.distance)
+    return ("simple_up_to_bound", closest / 2.0)
+
+
+@pytest.mark.parametrize(
+    "group", [pytest.param(g, id=name) for name, g in reference_groups()]
+)
+def test_simplicity_check_matches_scalar_reference(group):
+    # axes of the words up to length 2 and of the shortest screw
+    for length in range(1, 6):
+        ball = enumerate_ball(group, length)
+        axes = [
+            axis_of(w.matrix)
+            for w in ball
+            if w.length <= 2
+            and classify(w.matrix).kind not in ("parabolic", "identity")
+        ]
+        screw = shortest_screw(group, length, ball=ball)
+        if screw is not None:
+            axes.append(screw.axis)
+        for axis in axes:
+            report = simplicity_check(group, axis, length, ball=ball)
+            expected = reference_simplicity_check(axis, ball)
+            assert report.verdict == expected[0]
+            if report.is_simple:
+                assert report.tube_radius_lower == expected[1]
+            else:
+                assert report.witness is expected[1]
+                assert (report.distance, report.angle) == expected[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 import loxo.enumeration
 from loxo.enumeration import (
+    FuchsianResult,
     GroupPresentation,
     MatrixStore,
     SpectrumEntry,
@@ -16,20 +18,31 @@ from loxo.enumeration import (
     spectrum,
     thrice_punctured_test,
 )
-from loxo.errors import BudgetExceeded
+from loxo.errors import BudgetExceeded, PlaneVerificationFailed, ScrewInput
 from loxo.geometry import (
     axis_of,
     circle_through,
     halfturn_matrix,
+    preserves_circle,
     same_circle,
     same_line,
 )
-from loxo.isometry import BoundaryPoint, MoebiusIsometry, classify, complex_length
+from loxo.halfturn import invariant_plane
+from loxo.isometry import (
+    BoundaryPoint,
+    MoebiusIsometry,
+    classify,
+    complex_length,
+    same_point,
+)
 from loxo.pipeline import load_group_file
 
-from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, seeded
+from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, reference_groups, seeded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+REFERENCE_GROUPS = [
+    pytest.param(group, id=name) for name, group in reference_groups()
+]
 
 
 def presentation(pairs):
@@ -122,6 +135,91 @@ def test_ball_words_multiply_to_their_matrices():
         rebuilt = group.word(word.letters)
         assert rebuilt.matrix.psl_distance(word.matrix) < 1e-12
         assert rebuilt.name == word.name
+
+
+def exact_level_counts(generators, max_word_len):
+    """Per-level ball sizes in exact arithmetic over Z[omega].
+
+    An entry x + y omega, omega = exp(i pi / 3), is the pair (x, y); since
+    omega^2 = omega - 1, products stay integer pairs.  Elements are merged
+    up to sign, words walked in shortlex order with free reduction, as in
+    enumerate_ball.
+    """
+
+    def product(m, n):
+        # m, n are flat (x, y) pairs of a, b, c, d
+        out = []
+        for i, j, k, l in ((0, 0, 2, 4), (0, 2, 2, 6), (4, 0, 6, 4), (4, 2, 6, 6)):
+            x1, y1, x2, y2 = m[i], m[i + 1], n[j], n[j + 1]
+            x3, y3, x4, y4 = m[k], m[k + 1], n[l], n[l + 1]
+            out.append(x1 * x2 - y1 * y2 + x3 * x4 - y3 * y4)
+            out.append(x1 * y2 + y1 * x2 + y1 * y2 + x3 * y4 + y3 * x4 + y3 * y4)
+        return tuple(out)
+
+    def key(m):
+        return max(m, tuple(-v for v in m))
+
+    letters = []
+    for a, b, c, d in generators:
+        neg_b, neg_c = (-b[0], -b[1]), (-c[0], -c[1])
+        letters += [a + b + c + d, d + neg_b + neg_c + a]
+    identity = (1, 0, 0, 0, 0, 0, 1, 0)
+    seen = {key(identity)}
+    frontier = [(None, identity)]
+    counts = []
+    for _ in range(max_word_len):
+        level = []
+        for last, m in frontier:
+            for letter, n in enumerate(letters):
+                if last is not None and letter == last ^ 1:
+                    continue
+                p = product(m, n)
+                k = key(p)
+                if k not in seen:
+                    seen.add(k)
+                    level.append((letter, p))
+        counts.append(len(level))
+        frontier = level
+    return counts
+
+
+def level_counts(ball, max_word_len):
+    counts = [0] * max_word_len
+    for word in ball:
+        counts[word.length - 1] += 1
+    return counts
+
+
+def test_ball_counts_match_exact_arithmetic():
+    one, zero = (1, 0), (0, 0)
+    figure_eight = [(one, one, zero, one), (one, zero, (0, -1), one)]
+    thrice = [(one, (2, 0), zero, one), (one, zero, (2, 0), one)]
+    exact = {
+        "figure_eight": exact_level_counts(figure_eight, 9),
+        "thrice_punctured": exact_level_counts(thrice, 9),
+    }
+    assert exact["figure_eight"] == [
+        4, 12, 36, 108, 314, 900, 2580, 7396, 21188
+    ]
+    assert exact["thrice_punctured"] == [4 * 3 ** (k - 1) for k in range(1, 10)]
+    for name, counts in exact.items():
+        group, _ = load_group_file(os.path.join(FIXTURES, name + ".json"))
+        assert level_counts(enumerate_ball(group, 9), 9) == counts
+
+
+def bits(values):
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS[:4])
+def test_ball_entries_equal_word_products_bitwise(group):
+    ball = enumerate_ball(group, 5)
+    assert ball.entries.shape == (len(ball), 4)
+    for word, row in zip(ball, ball.entries):
+        m = group.word(word.letters).matrix
+        expected = bits([m.a, m.b, m.c, m.d])
+        assert bits([word.matrix.a, word.matrix.b, word.matrix.c, word.matrix.d]) == expected
+        assert bits(row) == expected
 
 
 def test_ball_budget():
@@ -240,32 +338,6 @@ def spectrum_rows(entries):
     return [(e.word.name, e.kind, e.length, e.angle) for e in entries]
 
 
-REFERENCE_GROUPS = [
-    pytest.param(
-        load_group_file(os.path.join(FIXTURES, name + ".json"))[0], id=name
-    )
-    for name in (
-        "figure_eight",
-        "thrice_punctured",
-        "diag_hyperbolic",
-        "single_parabolic",
-    )
-] + [
-    pytest.param(
-        GroupPresentation(
-            [MoebiusIsometry(1, 2, 0, 1), MoebiusIsometry(1, 0, 3, 1)]
-        ),
-        id="funnel",
-    ),
-    pytest.param(
-        GroupPresentation(
-            [MoebiusIsometry(1, 1, 1, 2), MoebiusIsometry(1, -1, -1, 2)]
-        ),
-        id="torus",
-    ),
-]
-
-
 @pytest.mark.parametrize("group", REFERENCE_GROUPS)
 def test_spectrum_matches_store_reference(group):
     for length in range(1, 6):
@@ -300,6 +372,34 @@ def test_shortest_screw_shrinks_with_radius():
         entry = shortest_screw(group, radius)
         lengths.append(entry.length)
     assert lengths[0] >= lengths[1] >= lengths[2]
+
+
+def reference_shortest_screw(ball):
+    """shortest_screw as a scalar loop: (word, length, angle) or None."""
+    best = None
+    best_key = None
+    for word in ball:
+        cls = classify(word.matrix)
+        if cls.kind != "screw":
+            continue
+        key = (cls.length, word.sort_key)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (word, cls.length, cls.angle)
+    return best
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+def test_shortest_screw_matches_scalar_reference(group):
+    for length in range(1, 6):
+        ball = enumerate_ball(group, length)
+        entry = shortest_screw(group, length, ball=ball)
+        expected = reference_shortest_screw(ball)
+        if expected is None:
+            assert entry is None
+            continue
+        assert entry.word is expected[0]
+        assert (entry.length, entry.angle) == expected[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +442,63 @@ def test_fuchsian_conjugated_real_group():
     from loxo.geometry import transform_circle
 
     assert same_circle(result.plane, transform_circle(g, REAL_LINE))
+
+
+def reference_fuchsian_test(group, ball):
+    """fuchsian_test with scalar loops for the screw and plane scans."""
+    hyperbolic = []
+    for word in ball:
+        kind = classify(word.matrix).kind
+        if kind == "screw":
+            return FuchsianResult("screw_found", witness=word)
+        if kind == "hyperbolic":
+            hyperbolic.append(word)
+    pair = None
+    for i, u in enumerate(hyperbolic):
+        axis_u = axis_of(u.matrix)
+        for v in hyperbolic[i + 1:]:
+            axis_v = axis_of(v.matrix)
+            if not any(
+                same_point(p, q)
+                for p in axis_u.endpoints()
+                for q in axis_v.endpoints()
+            ):
+                pair = (u, v)
+                break
+        if pair:
+            break
+    if pair is None:
+        return FuchsianResult("elementary")
+    u, v = pair
+    product = group.word(u.letters + v.letters)
+    if classify(product.matrix).kind == "screw":
+        return FuchsianResult("screw_found", witness=product)
+    try:
+        plane = invariant_plane(u.matrix, v.matrix)
+    except (ScrewInput, PlaneVerificationFailed):
+        return FuchsianResult("plane_failed")
+    for word in ball:
+        if not preserves_circle(word.matrix, plane):
+            return FuchsianResult("plane_failed", witness=word)
+    return FuchsianResult("all_non_screw_with_plane", plane=plane)
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+def test_fuchsian_test_matches_scalar_reference(group):
+    for length in range(1, 6):
+        ball = enumerate_ball(group, length)
+        result = fuchsian_test(group, length, ball=ball)
+        expected = reference_fuchsian_test(group, ball)
+        assert result.verdict == expected.verdict
+        if expected.witness in ball:
+            assert result.witness is expected.witness
+        else:
+            # none, or the product of the plane pair, built afresh by both
+            assert getattr(result.witness, "name", None) == getattr(
+                expected.witness, "name", None
+            )
+        if expected.plane is not None:
+            assert result.plane.signed_triple() == expected.plane.signed_triple()
 
 
 # ---------------------------------------------------------------------------

@@ -244,46 +244,94 @@ def test_verdict_thrice_punctured_survives_large_conjugate():
     assert report.to_dict()["parabolic_pair"] == ["a", "b'"]
 
 
-# ball words reach entries near 2e4 at length 5, where the translate scan
-# of the shortest geodesic meets a product whose determinant cancels
-LARGE_ENTRY_GENERATORS = (
-    ("a", ((-1.5, -7.75), (1, 4.5))),
-    ("b", ((4.5, -7.75), (1, -1.5))),
-)
-
-
-def test_verdict_degenerate_translate_is_inconclusive():
-    group = GroupPresentation(
-        [MoebiusIsometry.from_matrix(rows) for _, rows in LARGE_ENTRY_GENERATORS]
-    )
-    report = classify_manifold(group, RunConfig(max_word_len=5))
-    assert report.verdict.kind == "Inconclusive"
-    assert report.exit_code == EXIT_INCONCLUSIVE
-    reason = report.to_dict()["reason"]
-    assert reason.startswith("simplicity check of a failed: NearSingular")
-
-
-def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
-    path = tmp_path / "large.json"
+def write_group(path, generators):
     path.write_text(
         json.dumps(
             {
                 "generators": [
                     {
                         "label": label,
-                        "matrix": [[[x, 0], [y, 0]] for x, y in rows],
+                        "matrix": [
+                            [[z.real, z.imag] for z in row]
+                            for row in m.to_matrix()
+                        ],
                     }
-                    for label, rows in LARGE_ENTRY_GENERATORS
+                    for label, m in generators
                 ]
             }
         )
     )
+
+
+# ball words reach entries near 2e4 at length 5; 22 translates of the axis
+# of a have endpoints about 6e-8 apart, where the scalar separation cannot
+# build their half-turn, but they lie far from the axis
+LARGE_ENTRY_GENERATORS = (
+    ("a", MoebiusIsometry(-1.5, -7.75, 1, 4.5)),
+    ("b", MoebiusIsometry(4.5, -7.75, 1, -1.5)),
+)
+# half the distance from the axis of a to its nearest translate by the
+# length-5 ball, from a 60-digit mpmath scan of the ball (10 stabilizers,
+# no crossing, nearest translates at 6.79211867518)
+LARGE_ENTRY_TUBE = 3.39605933759
+
+
+def test_verdict_large_entry_group_certifies_a():
+    group = GroupPresentation([m for _, m in LARGE_ENTRY_GENERATORS])
+    report = classify_manifold(group, RunConfig(max_word_len=5))
+    assert report.verdict.kind == "SimpleGeodesicFound"
+    assert report.exit_code == EXIT_OK
+    assert report.verdict.entry.word.name == "a"
+    tube = report.verdict.report.tube_radius_lower
+    assert abs(tube - LARGE_ENTRY_TUBE) < 1e-4
+
+
+def test_cli_large_entry_group_exits_ok(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    write_group(path, LARGE_ENTRY_GENERATORS)
     code, out, _ = run_cli(
         capsys,
         "classify-manifold",
         str(path),
         "--max-word-len",
         "5",
+        "--format",
+        "json",
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["geodesic"]["word"] == "a"
+    assert abs(data["simplicity"]["tube_radius_lower"] - LARGE_ENTRY_TUBE) < 1e-4
+
+
+def figure_eight_far_conjugate():
+    # diag(1e4, 1e-4) conjugate: a length-6 translate of the axis of a b
+    # has endpoints within the chordal tolerance of each other
+    group, _ = load_group_file(fixture("figure_eight.json"))
+    k = MoebiusIsometry(1e4, 0, 0, 1e-4)
+    return list(zip(group.labels, (g.conjugate_by(k) for g in group.generators)))
+
+
+def test_verdict_degenerate_translate_is_inconclusive():
+    group = GroupPresentation([m for _, m in figure_eight_far_conjugate()])
+    report = classify_manifold(group, RunConfig(max_word_len=6))
+    assert report.verdict.kind == "Inconclusive"
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    reason = report.to_dict()["reason"]
+    assert reason.startswith(
+        "simplicity check of a b' a b b a' failed: DegeneratePoints"
+    )
+
+
+def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    write_group(path, figure_eight_far_conjugate())
+    code, out, _ = run_cli(
+        capsys,
+        "classify-manifold",
+        str(path),
+        "--max-word-len",
+        "6",
         "--format",
         "json",
     )
