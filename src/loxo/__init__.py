@@ -22,10 +22,11 @@ from .enumeration import (
     GroupWord,
     MatrixStore,
     SpectrumEntry,
-    ThricePuncturedEvidence,
+    ThricePuncturedSphereEvidence,
     elementary_test,
     enumerate_ball,
     fuchsian_test,
+    geodesics,
     jorgensen_warnings,
     shortest_screw,
     spectrum,
@@ -104,7 +105,6 @@ from .pipeline import (
     ManifoldReport,
     RunConfig,
     SimpleGeodesicFound,
-    ThricePuncturedSphereEvidence,
     classify_manifold,
     emit_report,
     load_group_file,

@@ -15,24 +15,22 @@ from .certification import (
 )
 from .enumeration import enumerate_ball, shortest_screw, spectrum
 from .errors import (
+    EXIT_INCONCLUSIVE,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
     AmbiguousClass,
     GroupFileError,
     LoxoError,
     ParseError,
 )
-from .geometry import GeodesicLine, axis_of
+from .geometry import GeodesicLine, axis_of, circle_json, line_json
 from .halfturn import decompose, invariant_plane, shared_factorization
 from .isometry import BoundaryPoint, MoebiusIsometry, classify
 from .pipeline import (
-    EXIT_INCONCLUSIVE,
-    EXIT_INPUT_ERROR,
-    EXIT_OK,
     RunConfig,
-    circle_json,
     classify_manifold,
     emit_report,
     entry_json,
-    line_json,
     load_group_file,
     simplicity_json,
 )

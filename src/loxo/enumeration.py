@@ -14,11 +14,13 @@ elementary behavior) screen that array in one pass and run the scalar
 tests only on the words the screen cannot decide.
 """
 
+import heapq
 import math
 
 import numpy as np
 
 from .errors import (
+    EXIT_OK,
     BudgetExceeded,
     NearSingular,
     PlaneVerificationFailed,
@@ -27,6 +29,7 @@ from .errors import (
 from .geometry import (
     PLANE_TOL,
     axis_of,
+    circle_json,
     geodesic_separation,
     halfturn_matrix,
     preserves_circle,
@@ -636,47 +639,83 @@ class _AxisOrbit:
         return bool((np.minimum(direct, flipped) <= MERGE_TOL).any())
 
 
-def spectrum(
+# Relative slack between the numpy key cosh(l / 2) of a row and the cosh
+# of the length complex_length gives it (see geodesics).
+_KEY_SLACK = 1e-9
+
+
+def geodesics(
     group,
     max_word_len,
     length_cutoff=12.0,
     tol_trace=TOL_TRACE,
     ball=None,
 ):
-    """Rotation and translation lengths of the distinct short geodesics.
+    """The distinct short geodesics of the ball, shortest first.
 
     Each elliptic, hyperbolic, or screw element of the ball contributes its
     axis; entries whose complex lengths agree within 1e-7 are identified
     when one axis is a ball-translate of the other, that is when the
     half-turn about one lies within MERGE_TOL of some w h w^-1 for the
     other, with w the identity or a ball element.  Parabolic and identity
-    words carry no length and are skipped.  Sorted by length, then angle,
-    then shortlex word.
+    words carry no length and are skipped.  Entries come sorted by length,
+    then angle, then shortlex word, and each is yielded as soon as no
+    unread word can precede it.
+
+    Rows that _trace_kinds calls identity or parabolic are dropped.  Every
+    other row gets the key x = cosh(l / 2) of its trace, projected onto the
+    real axis where |Im tr| <= tol_trace as complex_length projects it, so
+    the key and the cosh of complex_length's l differ by a few ulps times
+    l, far inside the relative slack 1e-9.  A row's length is thus at least
+    its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
+    length_cutoff are dropped; the scalar classify, complex_length and
+    axis_of run on the rest in key order, a slack-wide block at a time,
+    into a heap by (length, angle, word).  The heap top is final once its
+    length is below the bound of every unread row.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
-    candidates = []
-    for word in ball:
-        cls = classify(word.matrix, tol_trace)
-        if cls.kind in ("identity", "parabolic"):
-            continue
-        cl = complex_length(word.matrix, tol_trace)
-        if cl.length > length_cutoff:
-            continue
-        axis = axis_of(word.matrix, tol_trace)
-        candidates.append(
-            SpectrumEntry(word, cls.kind, cl.length, cl.angle, axis)
-        )
-    candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
-
     entries = ball_entries(ball)
-    kept = []
+    kinds = _trace_kinds(entries, tol_trace)
+    rows = np.flatnonzero((kinds != _IDENTITY) & (kinds != _PARABOLIC))
+    t = entries[rows, 0] + entries[rows, 3]
+    x = _cosh_half_length(np.where(np.abs(t.imag) <= tol_trace, t.real, t))
+    bound = 2.0 * np.arccosh(np.maximum(x / (1.0 + _KEY_SLACK), 1.0))
+    # rows past the cutoff go; a row whose key is not a number stays, last
+    keep = ~(bound > length_cutoff)
+    order = np.argsort(x[keep], kind="stable")
+    rows, x, bound = rows[keep][order], x[keep][order], bound[keep][order]
+
+    heap = []
+    read = 0
     # Kept reps whose length is within 1e-7 of the current candidate, as
     # [rep, its half-turn, its orbit array]; both are filled in on first
     # use.  Candidates come in length order, so a rep that falls behind
     # can never pass the length gate again and its orbit is dropped.
     near = []
-    for entry in candidates:
+    while True:
+        while read < len(rows) and not (heap and heap[0][0] < bound[read]):
+            stop = max(
+                read + 1,
+                int(x.searchsorted(x[read] * (1.0 + _KEY_SLACK), "right")),
+            )
+            for i in rows[read:stop].tolist():
+                word = ball[i]
+                cls = classify(word.matrix, tol_trace)
+                if cls.kind in ("identity", "parabolic"):
+                    continue
+                cl = complex_length(word.matrix, tol_trace)
+                if cl.length > length_cutoff:
+                    continue
+                axis = axis_of(word.matrix, tol_trace)
+                heapq.heappush(heap, (
+                    cl.length, cl.angle, word.sort_key,
+                    SpectrumEntry(word, cls.kind, cl.length, cl.angle, axis),
+                ))
+            read = stop
+        if not heap:
+            return
+        entry = heapq.heappop(heap)[-1]
         near = [slot for slot in near if entry.length - slot[0].length <= 1e-7]
         h = None
         for slot in near:
@@ -693,9 +732,22 @@ def spectrum(
             if orbit.contains(target):
                 break
         else:
-            kept.append(entry)
             near.append([entry, h, None])
-    return kept
+            yield entry
+
+
+def spectrum(
+    group,
+    max_word_len,
+    length_cutoff=12.0,
+    tol_trace=TOL_TRACE,
+    ball=None,
+):
+    """Rotation and translation lengths of the distinct short geodesics:
+    all of geodesics, as a list."""
+    return list(
+        geodesics(group, max_word_len, length_cutoff, tol_trace, ball)
+    )
 
 
 def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
@@ -881,9 +933,12 @@ def elementary_test(group, tol_trace=TOL_TRACE):
     return ElementaryResult("non_elementary")
 
 
-class ThricePuncturedEvidence:
-    """Witness pair of parabolic generators with parabolic product."""
+class ThricePuncturedSphereEvidence:
+    """Generator pair matching the doubly-cusped plane group: parabolic
+    generators with parabolic product, and the plane the ball keeps."""
 
+    kind = "ThricePuncturedSphereEvidence"
+    exit_code = EXIT_OK
     __slots__ = ("first", "second", "plane")
 
     def __init__(self, first, second, plane):
@@ -891,8 +946,14 @@ class ThricePuncturedEvidence:
         self.second = second
         self.plane = plane
 
+    def detail(self):
+        return {
+            "parabolic_pair": [self.first.name, self.second.name],
+            "plane": circle_json(self.plane),
+        }
+
     def __repr__(self):
-        return "ThricePuncturedEvidence(%r, %r)" % (
+        return "ThricePuncturedSphereEvidence(%r, %r)" % (
             self.first.name,
             self.second.name,
         )
@@ -913,7 +974,7 @@ def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None)
     pair = parabolic_generator_pair(group, tol_trace)
     if pair is None:
         return None
-    return ThricePuncturedEvidence(pair[0], pair[1], result.plane)
+    return ThricePuncturedSphereEvidence(pair[0], pair[1], result.plane)
 
 
 def parabolic_generator_pair(group, tol_trace):

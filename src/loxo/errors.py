@@ -5,6 +5,11 @@ callers can catch one base class.  Input-file problems get their own branch
 (GroupFileError) because the command line maps them to a distinct exit code.
 """
 
+# exit codes of the command line
+EXIT_OK = 0
+EXIT_INPUT_ERROR = 2
+EXIT_INCONCLUSIVE = 3
+
 
 class LoxoError(Exception):
     """Base class for all library errors."""

@@ -360,3 +360,27 @@ def geodesic_separation(l1, l2, tol=CHORDAL_TOL):
     if distance < INTERSECTION_TOL:
         distance = 0.0
     return GeodesicSeparation(distance, angle)
+
+
+# ---------------------------------------------------------------------------
+# JSON forms of points, lines and circles
+
+
+def _point_json(p):
+    if p.is_infinity:
+        return "inf"
+    z = p.to_complex()
+    return [z.real, z.imag]
+
+
+def line_json(line):
+    return [_point_json(line.p), _point_json(line.q)]
+
+
+def circle_json(circle):
+    return {
+        "coefficient_a": circle.a,
+        "coefficient_b": [circle.b.real, circle.b.imag],
+        "coefficient_c": circle.c,
+        "orientation": circle.orientation,
+    }

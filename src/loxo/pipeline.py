@@ -9,6 +9,7 @@ conclusive verdict carries the witnessing word and certificate data;
 anything short of that is an explicit Inconclusive with a reason.
 """
 
+import itertools
 import json
 import math
 
@@ -17,15 +18,19 @@ from .enumeration import (
     DEFAULT_CAP,
     GroupPresentation,
     SpectrumEntry,
+    ThricePuncturedSphereEvidence,
     elementary_test,
     enumerate_ball,
     fuchsian_test,
+    geodesics,
     jorgensen_warnings,
     parabolic_generator_pair,
     shortest_screw,
-    spectrum,
 )
 from .errors import (
+    EXIT_INCONCLUSIVE,
+    EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
+    EXIT_OK,
     DegeneratePoints,
     DuplicateLabel,
     IdentityGenerator,
@@ -34,7 +39,7 @@ from .errors import (
     ParseError,
     SingularGenerator,
 )
-from .geometry import axis_of, same_line
+from .geometry import axis_of, line_json, same_line
 from .isometry import (
     TOL_DET,
     TOL_TRACE,
@@ -42,10 +47,6 @@ from .isometry import (
     classify,
     complex_length,
 )
-
-EXIT_OK = 0
-EXIT_INPUT_ERROR = 2
-EXIT_INCONCLUSIVE = 3
 
 MAX_WORD_LEN_LIMIT = 12
 # load_group_file warns when a generator's determinant is this far from 1
@@ -87,26 +88,6 @@ class RunConfig:
         }
 
 
-def _point_json(p):
-    if p.is_infinity:
-        return "inf"
-    z = p.to_complex()
-    return [z.real, z.imag]
-
-
-def line_json(line):
-    return [_point_json(line.p), _point_json(line.q)]
-
-
-def circle_json(circle):
-    return {
-        "coefficient_a": circle.a,
-        "coefficient_b": [circle.b.real, circle.b.imag],
-        "coefficient_c": circle.c,
-        "orientation": circle.orientation,
-    }
-
-
 def entry_json(entry):
     return {
         "word": entry.word.name,
@@ -146,25 +127,6 @@ class SimpleGeodesicFound:
         return {
             "geodesic": entry_json(self.entry),
             "simplicity": simplicity_json(self.report),
-        }
-
-
-class ThricePuncturedSphereEvidence:
-    """Generator pair matching the doubly-cusped plane group."""
-
-    kind = "ThricePuncturedSphereEvidence"
-    exit_code = EXIT_OK
-    __slots__ = ("first", "second", "plane")
-
-    def __init__(self, first, second, plane):
-        self.first = first
-        self.second = second
-        self.plane = plane
-
-    def detail(self):
-        return {
-            "parabolic_pair": [self.first.name, self.second.name],
-            "plane": circle_json(self.plane),
         }
 
 
@@ -268,25 +230,34 @@ def classify_manifold(group, config=None):
     if elem.verdict == "limit_points_0_or_1":
         return report(Elementary("0_or_1"))
 
-    ball = enumerate_ball(group, config.max_word_len, config.cap)
+    try:
+        ball = enumerate_ball(group, config.max_word_len, config.cap)
+    except NearSingular as exc:
+        return report(
+            Inconclusive(
+                "word ball up to length %d failed: NearSingular: %s"
+                % (config.max_word_len, exc)
+            )
+        )
 
     def entries_of(*kinds):
-        # the spectrum is built only on the branches that read it
-        entries = spectrum(
+        # the stream is read only on the branches that need it, and only
+        # up to the first geodesic that certifies
+        entries = geodesics(
             group,
             config.max_word_len,
             config.length_cutoff,
             config.tol_trace,
             ball=ball,
         )
-        return [e for e in entries if e.kind in kinds]
+        return (e for e in entries if e.kind in kinds)
 
     if elem.verdict == "limit_points_2":
-        on_axis = [
+        on_axis = (
             e
             for e in entries_of("hyperbolic", "screw")
             if same_line(e.axis, elem.axis)
-        ]
+        )
         found = _certify_first_simple(group, on_axis, config, ball)
         if found is not None:
             return report(found)
@@ -308,20 +279,23 @@ def classify_manifold(group, config=None):
                 ThricePuncturedSphereEvidence(pair[0], pair[1], fuch.plane)
             )
         hyperbolic = entries_of("hyperbolic")
-        found = _certify_first_simple(group, hyperbolic, config, ball)
-        if found is not None:
-            return report(found)
-        if hyperbolic:
+        first = next(hyperbolic, None)
+        if first is None:
             return report(
                 Inconclusive(
-                    "every plane-preserving hyperbolic word up to the bound "
-                    "self-intersects"
+                    "ball preserves a plane but contains no hyperbolic word "
+                    "below the length cutoff"
                 )
             )
+        found = _certify_first_simple(
+            group, itertools.chain((first,), hyperbolic), config, ball
+        )
+        if found is not None:
+            return report(found)
         return report(
             Inconclusive(
-                "ball preserves a plane but contains no hyperbolic word "
-                "below the length cutoff"
+                "every plane-preserving hyperbolic word up to the bound "
+                "self-intersects"
             )
         )
 

@@ -13,6 +13,7 @@ from loxo.enumeration import (
     elementary_test,
     enumerate_ball,
     fuchsian_test,
+    geodesics,
     jorgensen_warnings,
     shortest_screw,
     spectrum,
@@ -37,7 +38,13 @@ from loxo.isometry import (
 )
 from loxo.pipeline import load_group_file
 
-from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, reference_groups, seeded
+from conftest import (
+    FIGURE_EIGHT,
+    THRICE_PUNCTURED,
+    random_isometry,
+    reference_groups,
+    seeded,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 REFERENCE_GROUPS = [
@@ -344,6 +351,83 @@ def test_spectrum_matches_store_reference(group):
         assert spectrum_rows(spectrum(group, length)) == spectrum_rows(
             reference_spectrum(group, length)
         )
+
+
+def eager_spectrum(ball, length_cutoff=12.0):
+    """The spectrum as a list built up front: every ball word classified,
+    the candidates sorted, then each kept entry's translate orbit built
+    and probed by every later candidate of equal complex length."""
+    candidates = []
+    for word in ball:
+        kind = classify(word.matrix).kind
+        if kind in ("identity", "parabolic"):
+            continue
+        cl = complex_length(word.matrix)
+        if cl.length > length_cutoff:
+            continue
+        candidates.append(
+            SpectrumEntry(word, kind, cl.length, cl.angle, axis_of(word.matrix))
+        )
+    candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
+    kept = []
+    for entry in candidates:
+        h = halfturn_matrix(entry.axis)
+        target = np.array((h.a, h.b, h.c, h.d))
+        if not any(
+            abs(entry.length - rep.length) <= 1e-7
+            and abs(entry.angle - rep.angle) <= 1e-7
+            and orbit.contains(target)
+            for rep, orbit in kept
+        ):
+            kept.append((entry, loxo.enumeration._AxisOrbit(h, ball.entries)))
+    return [entry for entry, _ in kept]
+
+
+def stream_groups():
+    """The reference groups, two seeded conjugates and a Schottky group
+    whose ball entries reach 2e4."""
+    groups = reference_groups()
+    rng = seeded("geodesic stream conjugates")
+    for name, group in list(groups):
+        if name in ("figure_eight", "torus"):
+            g = random_isometry(rng)
+            groups.append((
+                name + "_conjugate",
+                GroupPresentation([m.conjugate_by(g) for m in group.generators]),
+            ))
+    groups.append((
+        "schottky",
+        GroupPresentation(
+            [
+                MoebiusIsometry(-1.5, -7.75, 1, 4.5),
+                MoebiusIsometry(4.5, -7.75, 1, -1.5),
+            ]
+        ),
+    ))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "group", [pytest.param(group, id=name) for name, group in stream_groups()]
+)
+def test_geodesics_match_eager_reference(group):
+    for length in range(1, 7):
+        ball = enumerate_ball(group, length)
+        assert spectrum_rows(geodesics(group, length, ball=ball)) == spectrum_rows(
+            eager_spectrum(ball)
+        )
+
+
+def test_geodesics_keep_lengths_equal_to_the_cutoff():
+    group = dict(reference_groups())["torus"]
+    ball = enumerate_ball(group, 6)
+    # 2 arccosh 1.5, the length of a, b and a b
+    cutoff = complex_length(group.generators[0]).length
+    entries = list(geodesics(group, 6, cutoff, ball=ball))
+    assert [e.word.name for e in entries] == ["a", "b", "a b"]
+    assert spectrum_rows(entries) == spectrum_rows(eager_spectrum(ball, cutoff))
+    below = float(np.nextafter(cutoff, 0.0))
+    assert list(geodesics(group, 6, below, ball=ball)) == []
 
 
 # ---------------------------------------------------------------------------

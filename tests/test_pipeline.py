@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import loxo.enumeration
 import loxo.pipeline
 from loxo.cli import build_parser, main
 from loxo.enumeration import GroupPresentation
@@ -27,6 +28,8 @@ from loxo.pipeline import (
     emit_report,
     load_group_file,
 )
+
+from conftest import reference_groups
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -340,11 +343,11 @@ def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
 
 
 def test_verdicts_without_spectrum(monkeypatch):
-    # the screw and thrice-punctured branches never read the spectrum
+    # the screw and thrice-punctured branches never read the geodesic stream
     def no_spectrum(*args, **kwargs):
         raise AssertionError("spectrum built on a branch that does not read it")
 
-    monkeypatch.setattr(loxo.pipeline, "spectrum", no_spectrum)
+    monkeypatch.setattr(loxo.pipeline, "geodesics", no_spectrum)
     config = RunConfig(max_word_len=4)
     for name, kind in (
         ("figure_eight.json", "SimpleGeodesicFound"),
@@ -352,6 +355,34 @@ def test_verdicts_without_spectrum(monkeypatch):
     ):
         group, _ = load_group_file(fixture(name))
         assert classify_manifold(group, config).verdict.kind == kind
+
+
+def test_verdicts_stop_at_the_first_certified_geodesic(monkeypatch):
+    # funnel and torus certify the first geodesic of the stream, so no
+    # candidate after it is tested against the translates of a kept one
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("translate orbit built after the verdict")
+
+    monkeypatch.setattr(loxo.enumeration, "_AxisOrbit", no_orbit)
+    groups = dict(reference_groups())
+    for name in ("funnel", "torus"):
+        report = classify_manifold(groups[name], RunConfig(max_word_len=6))
+        assert report.verdict.kind == "SimpleGeodesicFound"
+
+
+# entries near 20^7 make the determinant of a length-7 product cancel to 0
+NEAR_SINGULAR_GROUP = (((19, 2), (9, 1)), ((1, 0), (3, 1)))
+
+
+def test_singular_ball_product_is_inconclusive():
+    group = GroupPresentation(
+        [MoebiusIsometry(a, b, c, d) for (a, b), (c, d) in NEAR_SINGULAR_GROUP]
+    )
+    for length in (7, 8):
+        verdict = classify_manifold(group, RunConfig(max_word_len=length)).verdict
+        assert verdict.kind == "Inconclusive"
+        assert "up to length %d" % length in verdict.reason
+        assert "NearSingular" in verdict.reason
 
 
 def test_inconclusive_requires_reason():
@@ -661,3 +692,32 @@ def test_cli_det_warning_surfaces(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert any("rescaled" in w for w in data["warnings"])
+
+
+def test_cli_singular_ball_product_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [
+                    {
+                        "label": label,
+                        "matrix": [[[x, 0] for x in row] for row in rows],
+                    }
+                    for label, rows in zip("ab", NEAR_SINGULAR_GROUP)
+                ]
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(
+        capsys,
+        "classify-manifold",
+        str(path),
+        "--max-word-len",
+        "8",
+        "--format",
+        "json",
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert "NearSingular" in json.loads(out)["reason"]
