@@ -81,7 +81,6 @@ from .halfturn import (
     SharedFactorization,
     decompose,
     default_free_choice,
-    halfturn_about,
     invariant_plane,
     shared_factorization,
 )

@@ -16,7 +16,12 @@ import math
 
 import numpy as np
 
-from .enumeration import ball_entries, conjugate_rows, enumerate_ball
+from .enumeration import (
+    _cosh_half_length,
+    ball_entries,
+    conjugate_rows,
+    enumerate_ball,
+)
 from .errors import NearSingular, OutOfRange
 from .geometry import (
     INTERSECTION_TOL,
@@ -119,8 +124,7 @@ def _translate_screen(axis, entries):
     t = h.a * g[:, 0] + h.b * g[:, 2] + h.c * g[:, 1] + h.d * g[:, 3]
     size = max(abs(h.a), abs(h.b), abs(h.c), abs(h.d))
     error = 512 * _EPS * (1.0 + big**2) * size**2
-    z = t / 2.0
-    x = (np.abs(z - 1.0) + np.abs(z + 1.0)) / 2.0
+    x = _cosh_half_length(t)
     # a crossing, or a product the scalar code takes for elliptic or
     # parabolic, both of which it reports at distance 0
     near_real = np.abs(t.imag) <= TOL_TRACE + error

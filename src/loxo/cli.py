@@ -6,6 +6,7 @@ search comes back inconclusive.
 """
 
 import argparse
+import math
 import sys
 
 from .certification import (
@@ -36,6 +37,17 @@ from .pipeline import (
 )
 
 _MATRIX_HELP = "eight floats: a_re a_im b_re b_im c_re c_im d_re d_im"
+
+
+def _finite_float(text):
+    """argparse type of every float argument; refuses NaN and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return value
 
 
 def _matrix_from(values):
@@ -223,9 +235,16 @@ def _cmd_classify_manifold(args):
     return report.exit_code
 
 
+def _add_matrices(sub, *names):
+    for name in names:
+        sub.add_argument(
+            name, type=_finite_float, nargs=8, required=True, help=_MATRIX_HELP
+        )
+
+
 def _add_common(sub, word_len=False, cutoff=False):
     sub.add_argument(
-        "--tol", type=float, default=1e-9,
+        "--tol", type=_finite_float, default=1e-9,
         help="trace tolerance for classification (default 1e-9)",
     )
     sub.add_argument(
@@ -239,7 +258,7 @@ def _add_common(sub, word_len=False, cutoff=False):
         )
     if cutoff:
         sub.add_argument(
-            "--cutoff", type=float, default=12.0,
+            "--cutoff", type=_finite_float, default=12.0,
             help="drop geodesics longer than this (default 12.0)",
         )
 
@@ -257,24 +276,20 @@ def build_parser():
     sub = subs.add_parser(
         "classify-element", help="classify one matrix by its trace"
     )
-    sub.add_argument(
-        "--matrix", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
+    _add_matrices(sub, "--matrix")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_classify_element)
 
     sub = subs.add_parser(
         "decompose", help="factor a matrix into two half-turns"
     )
+    _add_matrices(sub, "--matrix")
     sub.add_argument(
-        "--matrix", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
-    sub.add_argument(
-        "--free-point", type=float, nargs=2, metavar=("RE", "IM"),
+        "--free-point", type=_finite_float, nargs=2, metavar=("RE", "IM"),
         help="free ideal endpoint for a parabolic input",
     )
     sub.add_argument(
-        "--free-line", type=float, nargs=4,
+        "--free-line", type=_finite_float, nargs=4,
         metavar=("P_RE", "P_IM", "Q_RE", "Q_IM"),
         help="free axis, must cross the input's axis at a right angle",
     )
@@ -285,12 +300,7 @@ def build_parser():
         "shared-decomposition",
         help="half-turn factorizations of two motions through one shared axis",
     )
-    sub.add_argument(
-        "--first", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
-    sub.add_argument(
-        "--second", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
+    _add_matrices(sub, "--first", "--second")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_shared_decomposition)
 
@@ -298,12 +308,7 @@ def build_parser():
         "invariant-plane",
         help="oriented circle preserved by a non-screw pair",
     )
-    sub.add_argument(
-        "--first", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
-    sub.add_argument(
-        "--second", type=float, nargs=8, required=True, help=_MATRIX_HELP
-    )
+    _add_matrices(sub, "--first", "--second")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_invariant_plane)
 
@@ -341,7 +346,10 @@ def build_parser():
         "cusp-depth",
         help="depth where horoball loops of the given length reach length one",
     )
-    sub.add_argument("value", type=float, help="loop length (or depth with --invert)")
+    sub.add_argument(
+        "value", type=_finite_float,
+        help="loop length (or depth with --invert)",
+    )
     sub.add_argument(
         "--invert", action="store_true",
         help="treat the input as a depth and return the longest loop",

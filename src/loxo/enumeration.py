@@ -3,9 +3,9 @@
 Words over the generators are walked in shortlex order (generator, then its
 inverse, then the next generator) with free reduction, and matrices seen
 before are merged so relations in the group do not inflate the ball.  The
-merge store quantizes matrix entries to a grid three orders of magnitude
-coarser than the merge tolerance and probes neighboring cells near grid
-boundaries, so equal elements are never split by rounding.
+merge store sorts matrices by a real projection of their entries and
+confirms only the matrices whose projections lie within the merge
+tolerance's reach, so equal elements are never split by rounding.
 
 The ball keeps its words' entries as one (N, 4) complex array, built a level
 at a time in numpy.  The surveys built on the ball (the length spectrum,
@@ -49,183 +49,106 @@ from .isometry import (
 )
 
 MERGE_TOL = 1e-9
-MERGE_QUANT = 1e-6
 DEFAULT_CAP = 10**7
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
-# A cell key is the linear hash sum(m_k * n_k) mod 2^64 of the eight cell
-# indices n_k, so the neighbouring cell along coordinate k has key +- m_k.
-# Two cells sharing a key only cost an extra distance confirm.
-_CELL_HASH = (
-    0xC8764D7EDB5586AF, 0x5457DA22336DA9D9, 0x1053383AC7EC2C93,
-    0x7513BDA5DD0FC8A1, 0xF3CB002680986DE3, 0xCA8B43828B863917,
-    0xD53C68DB1D969E0F, 0xE042D32C3886B777,
-)
-_CELL_HASH_ARRAY = np.array(_CELL_HASH, dtype=np.uint64)
-_KEY_MASK = (1 << 64) - 1
-# cell indices up to this size convert to int64 exactly; larger ones are
-# hashed from Python ints
-_NUMPY_CELL_LIMIT = float(2**62)
+# Weights of a real projection of the eight coordinates (Re a, Im a, ...,
+# Im d): the fractional parts of the square roots of the primes to 19.
+# Rows within MERGE_TOL of each other under either sign have |projection|
+# within MERGE_TOL times the weight sum.  Irrational weights keep the
+# projections of integer-entry matrices apart.
+_WEIGHTS = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]) % 1.0
+_WEIGHT_SUM = float(_WEIGHTS.sum())
 
 
-def _cell_key(cells):
-    return sum(m * n for m, n in zip(_CELL_HASH, cells)) & _KEY_MASK
+def _keys(rows):
+    """|projection| of each row of an (n, 4) complex array."""
+    return np.abs(rows.view(np.float64) @ _WEIGHTS)
+
+
+def _scale(rows):
+    return float(np.abs(rows.view(np.float64)).max(initial=0.0))
 
 
 class MatrixStore:
-    """Quantized index of PSL(2, C) matrices.
+    """Index of PSL(2, C) matrices under MERGE_TOL, either sign.
 
-    Entries are keyed by rounding the eight real matrix coordinates to the
-    quantization grid, under both signs of the matrix.  Lookups probe the
-    adjacent cell for coordinates within tol of a cell boundary, then
-    confirm with an exact distance test, so the grid never separates
-    matrices that are genuinely within tol of each other.
-
-    Stored matrices live as rows of one complex array, and a cell holds
-    the row number of its one matrix or a list of them.  ``add_rows``
-    merges a whole array of candidates in order; a row it adds carries its
-    row number as its value.
+    Rows are kept sorted by their key |projection|.  A lookup confirms with
+    psl_distance only the rows whose keys lie in a window of half-width
+    _WEIGHT_SUM * (MERGE_TOL + 1e-14 * scale), scale the largest coordinate
+    seen; the 1e-14 term exceeds the roundoff of both projections, so no
+    row within MERGE_TOL falls outside the window.  Row numbers count the
+    rows in the order they were stored.
     """
 
-    __slots__ = ("quant", "tol", "_cells", "_rows", "_count", "_values")
+    __slots__ = ("_keys", "_rows", "_numbers", "_scale")
 
-    def __init__(self, quant=MERGE_QUANT, tol=MERGE_TOL):
-        self.quant = quant
-        self.tol = tol
-        self._cells = {}
-        self._rows = np.empty((16, 4), dtype=complex)
-        self._count = 0
-        self._values = {}
-
-    @staticmethod
-    def _coords(m):
-        return (
-            m.a.real, m.a.imag, m.b.real, m.b.imag,
-            m.c.real, m.c.imag, m.d.real, m.d.imag,
+    def __init__(self, rows=None):
+        rows = np.ascontiguousarray(
+            np.empty((0, 4)) if rows is None else rows, dtype=complex
         )
+        keys = _keys(rows)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._rows = rows[order]
+        self._numbers = order
+        self._scale = _scale(rows)
 
-    def _primary(self, coords):
-        q = self.quant
-        return tuple(math.floor(v / q + 0.5) for v in coords)
+    def _slack(self, scale):
+        return _WEIGHT_SUM * (MERGE_TOL + 1e-14 * max(self._scale, scale))
 
-    def _probes(self, coords):
-        """Keys of the cell of coords and of the neighbours within tol."""
-        q = self.quant
-        slack = self.tol / q
-        keys = [_cell_key(self._primary(coords))]
-        for step, v in zip(_CELL_HASH, coords):
-            x = v / q
-            frac = x - math.floor(x + 0.5)
-            if frac > 0.5 - slack:
-                keys += [(key + step) & _KEY_MASK for key in keys]
-            elif frac < -0.5 + slack:
-                keys += [(key - step) & _KEY_MASK for key in keys]
-        return keys
-
-    def _reserve(self, n):
-        if self._count + n > len(self._rows):
-            grown = np.empty(
-                (max(2 * len(self._rows), self._count + n), 4), dtype=complex
-            )
-            grown[: self._count] = self._rows[: self._count]
-            self._rows = grown
-
-    def _file(self, key, index):
-        bucket = self._cells.get(key)
-        if bucket is None:
-            self._cells[key] = index
-        elif isinstance(bucket, int):
-            self._cells[key] = [bucket, index]
-        else:
-            bucket.append(index)
-
-    def _cell(self, key):
-        bucket = self._cells.get(key, ())
-        return (bucket,) if isinstance(bucket, int) else bucket
-
-    def find(self, m):
-        for key in self._probes(self._coords(m)):
-            for index in self._cell(key):
-                stored = _isometry(*self._rows[index].tolist())
-                if m.psl_distance(stored) <= self.tol:
-                    return self._values.get(index, index)
+    def _match(self, m, key, slack):
+        lo, hi = self._keys.searchsorted((key - slack, key + slack))
+        for i in range(lo, hi):
+            if m.psl_distance(_isometry(*self._rows[i].tolist())) <= MERGE_TOL:
+                return int(self._numbers[i])
         return None
 
-    def add(self, m, value):
-        coords = self._coords(m)
-        self._reserve(1)
-        index = self._count
-        self._rows[index] = (m.a, m.b, m.c, m.d)
-        self._count += 1
-        self._values[index] = value
-        self._file(_cell_key(self._primary(coords)), index)
-        self._file(_cell_key(self._primary(tuple(-v for v in coords))), index)
+    def find(self, m):
+        """Row number of a stored row within MERGE_TOL of m, or None."""
+        coords = np.array((m.a, m.b, m.c, m.d)).view(np.float64)
+        key = abs(float(coords @ _WEIGHTS))
+        return self._match(m, key, self._slack(float(np.abs(coords).max())))
 
     def add_rows(self, rows):
         """Add each row of an (n, 4) complex array unless it merges.
 
-        Rows are taken in order: a row within tol of a stored matrix or of
-        an earlier row of the array is skipped.  Returns the indices of the
-        rows added.
+        Rows are taken in order: a row within MERGE_TOL of a stored row or
+        of an earlier added row of the array is skipped.  A row whose key
+        has no other key within the window, stored or in the array, is
+        added without a test.  Returns the indices of the rows added.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
-        coords = rows.view(np.float64)
-        x = coords / self.quant
-        base = np.floor(x + 0.5)
-        keys = self._row_keys(base)
-        flipped_keys = self._row_keys(np.floor(0.5 - x))
-        # rows with a coordinate within tol of a cell boundary also probe
-        # the neighbouring cells
-        near = np.abs(x - base) > 0.5 - self.tol / self.quant
-        probes = {
-            i: self._probes(tuple(coords[i].tolist()))[1:]
-            for i in np.flatnonzero(near.any(axis=1)).tolist()
-        }
-
-        start = self._count
-        kept = []
-
-        def merges(key, i):
-            row = _isometry(*rows[i].tolist())
-            for index in self._cell(key):
-                if index < start:
-                    stored = self._rows[index]
-                else:
-                    stored = rows[kept[index - start]]
-                if row.psl_distance(_isometry(*stored.tolist())) <= self.tol:
-                    return True
-            return False
-
-        cells = self._cells
-        for i, key in enumerate(keys):
-            if key in cells and merges(key, i):
-                continue
-            extra = probes.get(i)
-            if extra and any(merges(k, i) for k in extra):
-                continue
-            index = start + len(kept)
-            kept.append(i)
-            self._file(key, index)
-            self._file(flipped_keys[i], index)
-        self._reserve(len(kept))
-        self._rows[start : start + len(kept)] = rows[kept]
-        self._count += len(kept)
-        return kept
-
-    @staticmethod
-    def _row_keys(cells):
-        """Keys of an (n, 8) float array of cell indices, as Python ints."""
-        if not len(cells):
-            return []
-        big = ~(np.abs(cells) < _NUMPY_CELL_LIMIT).all(axis=1)
-        keys = (
-            np.where(big[:, None], 0.0, cells).astype(np.int64).view(np.uint64)
-            * _CELL_HASH_ARRAY
-        ).sum(axis=1, dtype=np.uint64).tolist()
-        for i in np.flatnonzero(big).tolist():
-            keys[i] = _cell_key(int(v) for v in cells[i])
-        return keys
+        keys = _keys(rows)
+        slack = self._slack(_scale(rows))
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        close = ~(np.diff(sorted_keys) > slack)
+        crowded = np.zeros(len(rows), dtype=bool)
+        crowded[order[:-1][close]] = True
+        crowded[order[1:][close]] = True
+        lo, hi = self._keys.searchsorted((keys - slack, keys + slack))
+        crowded |= lo < hi
+        added = ~crowded
+        for i in np.flatnonzero(crowded).tolist():
+            m = _isometry(*rows[i].tolist())
+            key = float(keys[i])
+            lo, hi = sorted_keys.searchsorted((key - slack, key + slack))
+            added[i] = self._match(m, key, slack) is None and not any(
+                j < i
+                and added[j]
+                and m.psl_distance(_isometry(*rows[j].tolist())) <= MERGE_TOL
+                for j in order[lo:hi].tolist()
+            )
+        added = np.flatnonzero(added)
+        new = np.argsort(keys[added])
+        at = self._keys.searchsorted(keys[added][new])
+        self._numbers = np.insert(self._numbers, at, len(self._numbers) + new)
+        self._keys = np.insert(self._keys, at, keys[added][new])
+        self._rows = np.insert(self._rows, at, rows[added][new], axis=0)
+        self._scale = max(self._scale, _scale(rows))
+        return added
 
 
 class GroupPresentation:
@@ -409,18 +332,15 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     ).reshape(-1, 4)
     labels = [group.letter_label(l) for l in range(n_letters)]
     identity = MoebiusIsometry.identity()
-    seen = MatrixStore()
-    seen.add(identity, "")
     ball = Ball()
     levels = []
     frontier = [GroupWord((), "", identity)]
     frontier_rows = np.array([(identity.a, identity.b, identity.c, identity.d)])
     frontier_last = np.array([-2])
+    seen = MatrixStore(frontier_rows)
     letter_index = np.arange(n_letters)
     for length in range(1, max_word_len + 1):
-        level_rows = []
-        level_last = []
-        next_frontier = []
+        chunks = []
         for start in range(0, len(frontier), _LEVEL_CHUNK):
             stop = start + _LEVEL_CHUNK
             # free reduction: no letter right after its inverse
@@ -428,36 +348,41 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
             parent_of, letter_of = np.nonzero(allowed)
             raw = _products(frontier_rows[start:stop], letter_rows)[allowed]
             rows, error = _canonical_rows(raw)
-            kept = seen.add_rows(rows)
-            rows = rows[kept]
-            letters = letter_of[kept]
-            for parent, letter, (a, b, c, d) in zip(
-                parent_of[kept].tolist(), letters.tolist(), rows.tolist()
-            ):
-                parent = frontier[start + parent]
-                word = GroupWord(
-                    parent.letters + (letter,),
-                    parent.name + " " + labels[letter]
-                    if parent.name
-                    else labels[letter],
-                    _isometry(a, b, c, d),
-                )
-                ball.append(word)
-                next_frontier.append(word)
-            if len(ball) > cap:
-                raise BudgetExceeded(
-                    "ball exceeds %d elements at radius %d" % (cap, length)
-                )
+            chunks.append(
+                (rows, start + parent_of[: len(rows)], letter_of[: len(rows)])
+            )
             if error is not None:
-                raise error
-            level_rows.append(rows)
-            level_last.append(letters)
+                break
+        rows, parent_of, letter_of = map(np.concatenate, zip(*chunks))
+        kept = seen.add_rows(rows)
+        rows = rows[kept]
+        letters = letter_of[kept]
+        next_frontier = []
+        for parent, letter, (a, b, c, d) in zip(
+            parent_of[kept].tolist(), letters.tolist(), rows.tolist()
+        ):
+            parent = frontier[parent]
+            word = GroupWord(
+                parent.letters + (letter,),
+                parent.name + " " + labels[letter]
+                if parent.name
+                else labels[letter],
+                _isometry(a, b, c, d),
+            )
+            ball.append(word)
+            next_frontier.append(word)
+        if len(ball) > cap:
+            raise BudgetExceeded(
+                "ball exceeds %d elements at radius %d" % (cap, length)
+            )
+        if error is not None:
+            raise error
         if not next_frontier:
             break
         frontier = next_frontier
-        frontier_rows = np.concatenate(level_rows)
-        frontier_last = np.concatenate(level_last)
-        levels.append(frontier_rows)
+        frontier_rows = rows
+        frontier_last = letters
+        levels.append(rows)
     ball.entries = (
         np.concatenate(levels) if levels else np.empty((0, 4), dtype=complex)
     )
@@ -577,14 +502,6 @@ class SpectrumEntry:
         )
 
 
-# Generic weights of a real projection of the eight coordinates (Re a,
-# Im a, ..., Im d).  Rows within MERGE_TOL of each other under either sign
-# have |projection| within MERGE_TOL times the weight sum, so sorting an
-# orbit by |projection| never separates a merge.
-_WEIGHTS = np.array([0.97, 0.83, 0.71, 0.59, 0.43, 0.31, 0.23, 0.11])
-_WEIGHT_SUM = float(_WEIGHTS.sum())
-
-
 def conjugate_rows(h, entries):
     """Rows of w h w^-1 for each unit-determinant row w of entries.
 
@@ -600,43 +517,11 @@ def conjugate_rows(h, entries):
     )
 
 
-class _AxisOrbit:
-    """h and all w h w^-1 for w a ball element, one row each.
-
-    Rows are sorted by their |projection| so that a lookup confirms only
-    the rows near its own.
-    """
-
-    __slots__ = ("rows", "keys", "scale")
-
-    def __init__(self, h, entries):
-        rows = np.empty((len(entries) + 1, 4), dtype=complex)
-        rows[0] = (h.a, h.b, h.c, h.d)
-        rows[1:] = conjugate_rows(h, entries)
-        keys = np.abs(rows.view(np.float64) @ _WEIGHTS)
-        order = np.argsort(keys)
-        self.rows = rows[order]
-        self.keys = keys[order]
-        self.scale = float(np.abs(rows.view(np.float64)).max())
-
-    def contains(self, target):
-        """True when some row lies within psl_distance MERGE_TOL of target.
-
-        The target is the (4,) complex array of a matrix.
-        """
-        coords = target.view(np.float64)
-        key = abs(float(coords @ _WEIGHTS))
-        # the 1e-14 term exceeds the roundoff of both projections, so a
-        # row whose key sits on a window edge cannot be within MERGE_TOL
-        scale = max(self.scale, float(np.abs(coords).max()))
-        slack = _WEIGHT_SUM * (MERGE_TOL + 1e-14 * scale)
-        lo, hi = self.keys.searchsorted((key - slack, key + slack))
-        if lo == hi:
-            return False
-        rows = self.rows[lo:hi]
-        direct = np.abs(rows - target).max(axis=1)
-        flipped = np.abs(rows + target).max(axis=1)
-        return bool((np.minimum(direct, flipped) <= MERGE_TOL).any())
+def _translate_orbit(h, entries):
+    """MatrixStore of h and of w h w^-1 for each row w of entries."""
+    return MatrixStore(
+        np.concatenate(([(h.a, h.b, h.c, h.d)], conjugate_rows(h, entries)))
+    )
 
 
 # Relative slack between the numpy key cosh(l / 2) of a row and the cosh
@@ -724,12 +609,11 @@ def geodesics(
                 continue
             if h is None:
                 h = halfturn_matrix(entry.axis)
-                target = np.array((h.a, h.b, h.c, h.d))
             if orbit is None:
                 if rep_h is None:
                     rep_h = halfturn_matrix(rep.axis)
-                orbit = slot[2] = _AxisOrbit(rep_h, entries)
-            if orbit.contains(target):
+                orbit = slot[2] = _translate_orbit(rep_h, entries)
+            if orbit.find(h) is not None:
                 break
         else:
             near.append([entry, h, None])

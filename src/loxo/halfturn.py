@@ -62,10 +62,6 @@ class HalfTurn:
         return "HalfTurn(%r)" % (self.axis,)
 
 
-def halfturn_about(line):
-    return HalfTurn(line)
-
-
 def _forced_factor(product):
     """Interpret a matrix forced by the factorization as a half-turn."""
     if abs(product.trace) > _FACTOR_TOL:

@@ -9,6 +9,7 @@ conclusive verdict carries the witnessing word and certificate data;
 anything short of that is an explicit Inconclusive with a reason.
 """
 
+import cmath
 import itertools
 import json
 import math
@@ -70,7 +71,7 @@ class RunConfig:
                 "word bound must lie in 1..%d, got %r"
                 % (MAX_WORD_LEN_LIMIT, max_word_len)
             )
-        if length_cutoff <= 0:
+        if not length_cutoff > 0:
             raise OutOfRange("length cutoff must be positive")
         if cap <= 0:
             raise OutOfRange("element budget must be positive")
@@ -350,7 +351,13 @@ def _parse_complex(value, where):
                    for x in value)
     ):
         raise ParseError("%s must be a [re, im] pair, got %r" % (where, value))
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise ParseError("%s must be finite, got %r" % (where, value))
+    return z
 
 
 def load_group_file(path, tol_trace=TOL_TRACE):

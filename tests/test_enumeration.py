@@ -6,6 +6,7 @@ import pytest
 
 import loxo.enumeration
 from loxo.enumeration import (
+    MERGE_TOL,
     FuchsianResult,
     GroupPresentation,
     MatrixStore,
@@ -74,36 +75,106 @@ REAL_LINE = circle_through(
 # MatrixStore
 
 
+def matrix_rows(*matrices):
+    return np.array([(m.a, m.b, m.c, m.d) for m in matrices], dtype=complex)
+
+
 def test_store_finds_exact_match():
     store = MatrixStore()
     m = MoebiusIsometry(2, 1, 1, 1)
-    store.add(m, "m")
-    assert store.find(m) == "m"
+    assert store.add_rows(matrix_rows(m)).tolist() == [0]
+    assert store.find(m) == 0
     assert store.find(MoebiusIsometry(1, 1, 0, 1)) is None
 
 
-def test_store_probes_across_cell_boundary():
+def test_store_finds_rows_within_merge_tolerance():
     store = MatrixStore()
     low = MoebiusIsometry(2, 5.0e-7 - 4.9e-10, 0, 0.5)
     high = MoebiusIsometry(2, 5.0e-7 + 4.9e-10, 0, 0.5)
-    store.add(high, "edge")
-    assert store.find(low) == "edge"
+    store.add_rows(matrix_rows(high))
+    assert store.find(low) == 0
+    assert store.add_rows(matrix_rows(low)).tolist() == []
 
 
 def test_store_respects_merge_tolerance():
     store = MatrixStore()
-    store.add(MoebiusIsometry(2, 0, 0, 0.5), "m")
+    store.add_rows(matrix_rows(MoebiusIsometry(2, 0, 0, 0.5)))
     off = MoebiusIsometry(2, 5e-9, 0, 0.5)
     assert store.find(off) is None
+    assert store.add_rows(matrix_rows(off)).tolist() == [0]
+    assert store.find(off) == 1
 
 
 def test_store_matches_opposite_sign():
     store = MatrixStore()
     m = MoebiusIsometry(1j, 2 + 1j, 1, -1j + 0.5)
-    store.add(m, "m")
+    store.add_rows(matrix_rows(m))
     # same PSL element reached through a different product ordering
     again = MoebiusIsometry(m.a, m.b, m.c, m.d)
-    assert store.find(again) == "m"
+    assert store.find(again) == 0
+    assert store.add_rows(-matrix_rows(m)).tolist() == []
+
+
+def bare_isometry(row):
+    """The entries of row as they stand, not rescaled or re-signed."""
+    m = object.__new__(MoebiusIsometry)
+    m.a, m.b, m.c, m.d = (complex(x) for x in row)
+    return m
+
+
+def brute_force_keep(rows):
+    """Indices add_rows must keep: a row goes unless psl_distance puts it
+    within MERGE_TOL of an earlier kept row."""
+    kept = []
+    for i, row in enumerate(rows):
+        m = bare_isometry(row)
+        if not any(
+            m.psl_distance(bare_isometry(rows[j])) <= MERGE_TOL for j in kept
+        ):
+            kept.append(i)
+    return kept
+
+
+def planted_rows(rng):
+    """Random rows with planted pairs within MERGE_TOL, pairs 2 MERGE_TOL
+    apart, sign flips, repeated integer rows and entries near 1e13."""
+    def random_rows(n, scale=1.0):
+        return (rng.uniform(-scale, scale, (n, 4))
+                + 1j * rng.uniform(-scale, scale, (n, 4)))
+
+    base = random_rows(40, 3.0)
+    # each coordinate off by under 0.7 MERGE_TOL: within MERGE_TOL entrywise
+    near = base[:20] + random_rows(20, 0.7 * MERGE_TOL)
+    apart = base[20:30].copy()
+    apart[:, 1] += 2 * MERGE_TOL
+    flipped = -np.concatenate((base[:10], near[10:]))
+    pool = rng.integers(-3, 4, (6, 4)) + 1j * rng.integers(-1, 2, (6, 4))
+    integers = np.concatenate((pool[rng.integers(0, 6, 30)], -pool[:3]))
+    large = 1e13 * base[:10]
+    large = np.concatenate((
+        large,
+        large[:5] + random_rows(5, 0.7 * MERGE_TOL),
+        # one ulp up, far beyond MERGE_TOL at this size
+        np.nextafter(large[5:].view(np.float64), np.inf).view(complex),
+    ))
+    rows = np.concatenate((base, near, apart, flipped, integers, large))
+    return rows[rng.permutation(len(rows))]
+
+
+def test_store_keeps_what_an_all_pairs_scan_keeps():
+    for seed in range(4):
+        rows = planted_rows(np.random.default_rng(seed))
+        expected = brute_force_keep(rows)
+        assert len(expected) < len(rows)
+        store = MatrixStore()
+        kept = []
+        for start, stop in ((0, 50), (50, 51), (51, 120), (120, len(rows))):
+            kept += (start + store.add_rows(rows[start:stop])).tolist()
+        assert kept == expected
+        for row in rows:
+            m = bare_isometry(row)
+            found = store.find(m)
+            assert m.psl_distance(bare_isometry(rows[kept[found]])) <= MERGE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +372,12 @@ def test_spectrum_large_entry_group_returns():
 
 
 def reference_spectrum(group, max_word_len):
-    """Spectrum deduplicated by a MatrixStore of MoebiusIsometry products.
+    """Spectrum deduplicated by brute force, sharing no code with
+    MatrixStore.
 
-    Every kept entry gets a store of its half-turn h and of w h w^-1 for
-    each ball word w; a later candidate of equal complex length merges when
-    the store finds its half-turn.
+    A candidate merges into a kept entry of equal complex length when its
+    half-turn lies within psl_distance MERGE_TOL of h or of some
+    w h w^-1, h the kept entry's half-turn and w a ball word.
     """
     ball = enumerate_ball(group, max_word_len)
     candidates = []
@@ -321,24 +393,17 @@ def reference_spectrum(group, max_word_len):
         )
     candidates.sort(key=lambda e: (e.length, e.angle, e.word.sort_key))
     kept = []
-    orbits = []
     for entry in candidates:
         h = halfturn_matrix(entry.axis)
-        for rep, orbit in zip(kept, orbits):
-            if abs(entry.length - rep.length) > 1e-7:
-                continue
-            if abs(entry.angle - rep.angle) > 1e-7:
-                continue
-            if orbit.find(h) is not None:
-                break
-        else:
-            orbit = MatrixStore()
-            orbit.add(h, True)
-            for w in ball:
-                orbit.add(w.matrix * h * w.matrix.inverse(), True)
-            kept.append(entry)
-            orbits.append(orbit)
-    return kept
+        if not any(
+            abs(entry.length - rep.length) <= 1e-7
+            and abs(entry.angle - rep.angle) <= 1e-7
+            and any(h.psl_distance(g) <= MERGE_TOL for g in translates)
+            for rep, translates in kept
+        ):
+            translates = [h] + [w.matrix * h * w.matrix.inverse() for w in ball]
+            kept.append((entry, translates))
+    return [entry for entry, _ in kept]
 
 
 def spectrum_rows(entries):
@@ -372,14 +437,15 @@ def eager_spectrum(ball, length_cutoff=12.0):
     kept = []
     for entry in candidates:
         h = halfturn_matrix(entry.axis)
-        target = np.array((h.a, h.b, h.c, h.d))
         if not any(
             abs(entry.length - rep.length) <= 1e-7
             and abs(entry.angle - rep.angle) <= 1e-7
-            and orbit.contains(target)
+            and orbit.find(h) is not None
             for rep, orbit in kept
         ):
-            kept.append((entry, loxo.enumeration._AxisOrbit(h, ball.entries)))
+            kept.append(
+                (entry, loxo.enumeration._translate_orbit(h, ball.entries))
+            )
     return [entry for entry, _ in kept]
 
 

@@ -23,7 +23,6 @@ from loxo.halfturn import (
     HalfTurn,
     decompose,
     default_free_choice,
-    halfturn_about,
     invariant_plane,
     shared_factorization,
 )
@@ -141,7 +140,7 @@ def test_decompose_random_round_trip():
         for h in (first, second):
             assert abs(h.matrix.trace) < 1e-7
             assert (h.matrix * h.matrix).is_identity()
-            assert h.matrix.psl_distance(halfturn_about(h.axis).matrix) < 1e-6
+            assert h.matrix.psl_distance(HalfTurn(h.axis).matrix) < 1e-6
 
 
 def test_decompose_explicit_perpendicular_choices():

@@ -60,6 +60,8 @@ def test_config_validation():
     with pytest.raises(OutOfRange):
         RunConfig(length_cutoff=0.0)
     with pytest.raises(OutOfRange):
+        RunConfig(length_cutoff=float("nan"))
+    with pytest.raises(OutOfRange):
         RunConfig(cap=0)
 
 
@@ -105,6 +107,22 @@ def test_load_rejects_bad_shapes(tmp_path):
         path = tmp_path / ("case%d.json" % index)
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
+            load_group_file(str(path))
+
+
+# json.loads reads NaN and Infinity; a 400-digit int overflows a float
+NON_FINITE_GROUPS = [
+    '{"generators": [{"label": "a", "matrix": '
+    '[[[%s, 0], [1, 0]], [[0, 0], [1, 0]]]}]}' % value
+    for value in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400)
+]
+
+
+def test_load_rejects_non_finite_entries(tmp_path):
+    for index, text in enumerate(NON_FINITE_GROUPS):
+        path = tmp_path / ("case%d.json" % index)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="must be finite"):
             load_group_file(str(path))
 
 
@@ -363,7 +381,7 @@ def test_verdicts_stop_at_the_first_certified_geodesic(monkeypatch):
     def no_orbit(*args, **kwargs):
         raise AssertionError("translate orbit built after the verdict")
 
-    monkeypatch.setattr(loxo.enumeration, "_AxisOrbit", no_orbit)
+    monkeypatch.setattr(loxo.enumeration, "_translate_orbit", no_orbit)
     groups = dict(reference_groups())
     for name in ("funnel", "torus"):
         report = classify_manifold(groups[name], RunConfig(max_word_len=6))
@@ -398,6 +416,50 @@ def test_dihedral_pair_of_inversions_certifies_core():
     assert report.verdict.kind == "SimpleGeodesicFound"
     data = report.to_dict()
     assert abs(data["geodesic"]["length"] - 2 * math.log(2)) < 1e-9
+
+
+GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "golden_reports.json")
+
+
+def current_reports():
+    """emit_report's JSON of classify_manifold on the reference groups at
+    word lengths 4 and 6, keyed as in golden_reports.json.  A change that
+    alters reports on purpose rewrites that file with
+    json.dump(current_reports(), handle, indent=1, sort_keys=True)."""
+    return {
+        "%s L=%d" % (name, length): json.loads(
+            emit_report(classify_manifold(group, RunConfig(length)), "json")
+        )
+        for name, group in reference_groups()
+        for length in (4, 6)
+    }
+
+
+def assert_same_report(got, want, where):
+    """Strings, ints, booleans and nulls equal; floats within a relative
+    1e-12, so that another libm cannot fail the comparison."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_report(got[key], want[key], where + "." + key)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for index, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, "%s[%d]" % (where, index))
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def test_reports_match_golden_reports():
+    with open(GOLDEN_REPORTS, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    current = current_reports()
+    assert sorted(current) == sorted(golden)
+    for key in golden:
+        assert_same_report(current[key], golden[key], key)
 
 
 def test_reports_are_deterministic():
@@ -496,6 +558,35 @@ def test_cli_bad_word_len(capsys):
     )
     assert code == EXIT_INPUT_ERROR
     assert "error:" in err
+
+
+def test_cli_non_finite_group_file_exits_input_error(tmp_path, capsys):
+    for index, text in enumerate(NON_FINITE_GROUPS):
+        path = tmp_path / ("case%d.json" % index)
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify-manifold", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify-element", "--matrix", "nan", "0", "1", "0", "1", "0", "2", "0"],
+        ["classify-element", "--matrix", "2", "0", "0", "0", "0", "0", "0.5",
+         "0", "--tol", "nan"],
+        ["decompose", "--matrix", "1", "0", "2", "0", "0", "0", "1", "0",
+         "--free-point", "inf", "0"],
+        ["cusp-depth", "nan", "--invert"],
+        ["classify-manifold", fixture("figure_eight.json"), "--cutoff", "inf"],
+    ],
+)
+def test_cli_rejects_non_finite_floats(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_cli_classify_element(capsys):
