@@ -18,7 +18,7 @@ import numpy as np
 
 from .enumeration import (
     _cosh_half_length,
-    ball_entries,
+    _row_matrix,
     conjugate_rows,
     enumerate_ball,
 )
@@ -151,21 +151,23 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
     stabilizes the axis).
 
     A numpy screen of the whole ball picks the words to scan; the scalar
-    test runs on them in ball order, so witnesses and distances are its.
+    test runs on their matrices in ball order, so witnesses and distances
+    are its.  ball, when given, must be an enumerate_ball result; only a
+    witness's word is built.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
+    entries = ball.entries
     closest = math.inf
-    for i in np.flatnonzero(_translate_screen(axis, ball_entries(ball))).tolist():
-        word = ball[i]
-        translate = transform_line(word.matrix, axis)
+    for i in np.flatnonzero(_translate_screen(axis, entries)).tolist():
+        translate = transform_line(_row_matrix(entries, i), axis)
         if same_line(translate, axis):
             continue
         sep = geodesic_separation(translate, axis)
         if sep.distance < INTERSECTION_TOL:
             return SimplicityReport(
                 "self_intersecting",
-                witness=word,
+                witness=ball[i],
                 distance=sep.distance,
                 angle=sep.angle,
             )

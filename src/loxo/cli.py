@@ -50,6 +50,14 @@ def _finite_float(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of --tol: a finite float, zero or more."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("negative tolerance: %r" % text)
+    return value
+
+
 def _matrix_from(values):
     return MoebiusIsometry(
         complex(values[0], values[1]),
@@ -244,7 +252,7 @@ def _add_matrices(sub, *names):
 
 def _add_common(sub, word_len=False, cutoff=False):
     sub.add_argument(
-        "--tol", type=_finite_float, default=1e-9,
+        "--tol", type=_tolerance, default=1e-9,
         help="trace tolerance for classification (default 1e-9)",
     )
     sub.add_argument(

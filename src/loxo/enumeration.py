@@ -8,14 +8,17 @@ confirms only the matrices whose projections lie within the merge
 tolerance's reach, so equal elements are never split by rounding.
 
 The ball keeps its words' entries as one (N, 4) complex array, built a level
-at a time in numpy.  The surveys built on the ball (the length spectrum,
-the shortest screw motion, and group-level tests for preserved planes and
-elementary behavior) screen that array in one pass and run the scalar
-tests only on the words the screen cannot decide.
+at a time in numpy, with each word's prefix row and last letter; a word
+object is built only when it is read.  The surveys built on the ball (the
+length spectrum, the shortest screw motion, and group-level tests for
+preserved planes and elementary behavior) screen that array in one pass,
+run the scalar tests on the matrices of the rows the screen cannot decide,
+and build words only for what they return.
 """
 
 import heapq
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -101,7 +104,7 @@ class MatrixStore:
     def _match(self, m, key, slack):
         lo, hi = self._keys.searchsorted((key - slack, key + slack))
         for i in range(lo, hi):
-            if m.psl_distance(_isometry(*self._rows[i].tolist())) <= MERGE_TOL:
+            if m.psl_distance(_row_matrix(self._rows, i)) <= MERGE_TOL:
                 return int(self._numbers[i])
         return None
 
@@ -132,13 +135,13 @@ class MatrixStore:
         crowded |= lo < hi
         added = ~crowded
         for i in np.flatnonzero(crowded).tolist():
-            m = _isometry(*rows[i].tolist())
+            m = _row_matrix(rows, i)
             key = float(keys[i])
             lo, hi = sorted_keys.searchsorted((key - slack, key + slack))
             added[i] = self._match(m, key, slack) is None and not any(
                 j < i
                 and added[j]
-                and m.psl_distance(_isometry(*rows[j].tolist())) <= MERGE_TOL
+                and m.psl_distance(_row_matrix(rows, j)) <= MERGE_TOL
                 for j in order[lo:hi].tolist()
             )
         added = np.flatnonzero(added)
@@ -210,24 +213,71 @@ class GroupWord:
         return "GroupWord(%r)" % (self.name,)
 
 
-class Ball(list):
-    """Words of a ball in shortlex order, with their entries as one array.
+class Ball(Sequence):
+    """Words of a ball in shortlex order, stored as arrays.
 
     ``entries`` is an (N, 4) complex array whose row i holds the (a, b, c,
-    d) of ``self[i].matrix`` bit for bit.
+    d) of ``self[i].matrix`` bit for bit.  ``parents[i]`` is the row of
+    word i's prefix (-1 for a single letter) and ``letters[i]`` its last
+    letter; parents come before their children.  ``self[i]`` builds the
+    GroupWord of row i on first read, walking ``parents`` up to the nearest
+    built ancestor, and caches every word it builds, so a word is the same
+    object on every read.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "parents", "letters", "_labels", "_words")
 
+    def __init__(self, entries, parents, letters, labels):
+        self.entries = entries
+        self.parents = parents
+        self.letters = letters
+        self._labels = labels
+        self._words = [None] * len(entries)
 
-def ball_entries(ball):
-    """The (N, 4) entry array of a ball, or of any list of words."""
-    if isinstance(ball, Ball):
-        return ball.entries
-    return np.array(
-        [(w.matrix.a, w.matrix.b, w.matrix.c, w.matrix.d) for w in ball],
-        dtype=complex,
-    ).reshape(-1, 4)
+    def __len__(self):
+        return len(self._words)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        words = self._words
+        word = words[index]
+        if word is not None:
+            return word
+        i = index % len(words)
+        chain = []
+        while i >= 0 and words[i] is None:
+            chain.append(i)
+            i = int(self.parents[i])
+        word = words[i] if i >= 0 else None
+        for i in reversed(chain):
+            word = words[i] = self._child(
+                word, int(self.letters[i]), self.entries[i].tolist()
+            )
+        return word
+
+    def __iter__(self):
+        words = self._words
+        if None in words:
+            # one forward pass: each parent is built before its children
+            for i, (parent, letter, row) in enumerate(zip(
+                self.parents.tolist(),
+                self.letters.tolist(),
+                self.entries.tolist(),
+            )):
+                if words[i] is None:
+                    words[i] = self._child(
+                        words[parent] if parent >= 0 else None, letter, row
+                    )
+        return iter(words)
+
+    def _child(self, parent, letter, row):
+        label = self._labels[letter]
+        if parent is None:
+            return GroupWord((letter,), label, _isometry(*row))
+        return GroupWord(
+            parent.letters + (letter,), parent.name + " " + label, _isometry(*row)
+        )
 
 
 def _isometry(a, b, c, d):
@@ -235,6 +285,11 @@ def _isometry(a, b, c, d):
     m = object.__new__(MoebiusIsometry)
     m.a, m.b, m.c, m.d = a, b, c, d
     return m
+
+
+def _row_matrix(entries, i):
+    """The matrix of row i of an (n, 4) entry array, bit for bit."""
+    return _isometry(*entries[i].tolist())
 
 
 # CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
@@ -319,8 +374,8 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
 
     Words come out in shortlex order and the surviving set is closed under
     prefixes: a word that merges with an earlier one (or with the identity)
-    is dropped and never extended.  The result is a Ball: the list of
-    words, with their entries as one array.
+    is dropped and never extended.  The result is a Ball: the entries of
+    the words as one array, with each word's prefix row and last letter.
     """
     n_letters = 2 * group.rank
     letter_rows = np.array(
@@ -330,18 +385,20 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
         ],
         dtype=complex,
     ).reshape(-1, 4)
-    labels = [group.letter_label(l) for l in range(n_letters)]
     identity = MoebiusIsometry.identity()
-    ball = Ball()
-    levels = []
-    frontier = [GroupWord((), "", identity)]
     frontier_rows = np.array([(identity.a, identity.b, identity.c, identity.d)])
     frontier_last = np.array([-2])
+    # ball row of the frontier's first word; the identity's row is -1
+    offset = -1
+    size = 0
+    levels = [np.empty((0, 4), dtype=complex)]
+    parents = [np.empty(0, dtype=np.intp)]
+    letters = [np.empty(0, dtype=np.intp)]
     seen = MatrixStore(frontier_rows)
     letter_index = np.arange(n_letters)
     for length in range(1, max_word_len + 1):
         chunks = []
-        for start in range(0, len(frontier), _LEVEL_CHUNK):
+        for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
             stop = start + _LEVEL_CHUNK
             # free reduction: no letter right after its inverse
             allowed = letter_index[None, :] != (frontier_last[start:stop] ^ 1)[:, None]
@@ -355,38 +412,27 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
                 break
         rows, parent_of, letter_of = map(np.concatenate, zip(*chunks))
         kept = seen.add_rows(rows)
-        rows = rows[kept]
-        letters = letter_of[kept]
-        next_frontier = []
-        for parent, letter, (a, b, c, d) in zip(
-            parent_of[kept].tolist(), letters.tolist(), rows.tolist()
-        ):
-            parent = frontier[parent]
-            word = GroupWord(
-                parent.letters + (letter,),
-                parent.name + " " + labels[letter]
-                if parent.name
-                else labels[letter],
-                _isometry(a, b, c, d),
-            )
-            ball.append(word)
-            next_frontier.append(word)
-        if len(ball) > cap:
+        levels.append(rows[kept])
+        parents.append(offset + parent_of[kept])
+        letters.append(letter_of[kept])
+        offset = size
+        size += len(kept)
+        if size > cap:
             raise BudgetExceeded(
                 "ball exceeds %d elements at radius %d" % (cap, length)
             )
         if error is not None:
             raise error
-        if not next_frontier:
+        if not len(kept):
             break
-        frontier = next_frontier
-        frontier_rows = rows
-        frontier_last = letters
-        levels.append(rows)
-    ball.entries = (
-        np.concatenate(levels) if levels else np.empty((0, 4), dtype=complex)
+        frontier_rows = levels[-1]
+        frontier_last = letters[-1]
+    return Ball(
+        np.concatenate(levels),
+        np.concatenate(parents),
+        np.concatenate(letters),
+        [group.letter_label(l) for l in range(n_letters)],
     )
-    return ball
 
 
 # kind codes of _trace_kinds
@@ -553,14 +599,15 @@ def geodesics(
     the key and the cosh of complex_length's l differ by a few ulps times
     l, far inside the relative slack 1e-9.  A row's length is thus at least
     its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
-    length_cutoff are dropped; the scalar classify, complex_length and
-    axis_of run on the rest in key order, a slack-wide block at a time,
-    into a heap by (length, angle, word).  The heap top is final once its
-    length is below the bound of every unread row.
+    length_cutoff are dropped; the scalar classify and complex_length run
+    on the rest in key order, a slack-wide block at a time, into a heap by
+    (length, angle, row).  The heap top is final once its length is below
+    the bound of every unread row; its word and axis are built when it is
+    popped.  ball, when given, must be an enumerate_ball result.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
-    entries = ball_entries(ball)
+    entries = ball.entries
     kinds = _trace_kinds(entries, tol_trace)
     rows = np.flatnonzero((kinds != _IDENTITY) & (kinds != _PARABOLIC))
     t = entries[rows, 0] + entries[rows, 3]
@@ -585,22 +632,22 @@ def geodesics(
                 int(x.searchsorted(x[read] * (1.0 + _KEY_SLACK), "right")),
             )
             for i in rows[read:stop].tolist():
-                word = ball[i]
-                cls = classify(word.matrix, tol_trace)
-                if cls.kind in ("identity", "parabolic"):
+                m = _row_matrix(entries, i)
+                kind = classify(m, tol_trace).kind
+                if kind in ("identity", "parabolic"):
                     continue
-                cl = complex_length(word.matrix, tol_trace)
+                cl = complex_length(m, tol_trace)
                 if cl.length > length_cutoff:
                     continue
-                axis = axis_of(word.matrix, tol_trace)
-                heapq.heappush(heap, (
-                    cl.length, cl.angle, word.sort_key,
-                    SpectrumEntry(word, cls.kind, cl.length, cl.angle, axis),
-                ))
+                # ball rows are in shortlex order, so the row breaks ties
+                heapq.heappush(heap, (cl.length, cl.angle, i, kind, m))
             read = stop
         if not heap:
             return
-        entry = heapq.heappop(heap)[-1]
+        length, angle, i, kind, m = heapq.heappop(heap)
+        entry = SpectrumEntry(
+            ball[i], kind, length, angle, axis_of(m, tol_trace)
+        )
         near = [slot for slot in near if entry.length - slot[0].length <= 1e-7]
         h = None
         for slot in near:
@@ -635,10 +682,14 @@ def spectrum(
 
 
 def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
-    """Screw element of least translation length, shortlex tie-break."""
+    """Screw element of least translation length, shortlex tie-break.
+
+    ball, when given, must be an enumerate_ball result; only the winner's
+    word is built.
+    """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
-    entries = ball_entries(ball)
+    entries = ball.entries
     kinds = _trace_kinds(entries, tol_trace)
     scan = kinds == _UNDECIDED
     screws = np.flatnonzero(kinds == _SCREW)
@@ -649,23 +700,20 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
         x = _cosh_half_length(entries[screws, 0] + entries[screws, 3])
         scan[screws[x <= x.min() * (1.0 + 1e-12)]] = True
     best = None
-    best_key = None
     for i in np.flatnonzero(scan).tolist():
-        word = ball[i]
-        cls = classify(word.matrix, tol_trace)
+        m = _row_matrix(entries, i)
+        cls = classify(m, tol_trace)
         if cls.kind != "screw":
             continue
-        key = (cls.length, word.sort_key)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = SpectrumEntry(
-                word,
-                cls.kind,
-                cls.length,
-                cls.angle,
-                axis_of(word.matrix, tol_trace),
-            )
-    return best
+        # ball rows are in shortlex order, so the row breaks ties
+        if best is None or (cls.length, i) < best[:2]:
+            best = (cls.length, i, cls, m)
+    if best is None:
+        return None
+    _, i, cls, m = best
+    return SpectrumEntry(
+        ball[i], cls.kind, cls.length, cls.angle, axis_of(m, tol_trace)
+    )
 
 
 class FuchsianResult:
@@ -704,42 +752,44 @@ def fuchsian_test(
     Verdicts: "screw_found" (witness word), "all_non_screw_with_plane"
     (plane circle), "plane_failed" (first word moving the plane), or
     "elementary" when the ball has no two hyperbolic elements with four
-    distinct endpoints to span a plane.
+    distinct endpoints to span a plane.  ball, when given, must be an
+    enumerate_ball result; words are built only for the pair spanning the
+    plane and for a witness.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
-    entries = ball_entries(ball)
+    entries = ball.entries
     kinds = _trace_kinds(entries, tol_trace)
     screws = np.flatnonzero(kinds == _SCREW)
     stop = int(screws[0]) if screws.size else len(ball)
     for i in np.flatnonzero(kinds[:stop] == _UNDECIDED).tolist():
-        kind = classify(ball[i].matrix, tol_trace).kind
+        kind = classify(_row_matrix(entries, i), tol_trace).kind
         if kind == "screw":
             return FuchsianResult("screw_found", witness=ball[i])
         kinds[i] = _KIND_CODES[kind]
     if stop < len(ball):
         return FuchsianResult("screw_found", witness=ball[stop])
-    hyperbolic = [ball[i] for i in np.flatnonzero(kinds == _HYPERBOLIC).tolist()]
+    hyperbolic = np.flatnonzero(kinds == _HYPERBOLIC).tolist()
 
     pair = None
-    for i, u in enumerate(hyperbolic):
-        axis_u = axis_of(u.matrix)
-        for v in hyperbolic[i + 1:]:
-            axis_v = axis_of(v.matrix)
+    for n, i in enumerate(hyperbolic):
+        axis_u = axis_of(_row_matrix(entries, i))
+        for j in hyperbolic[n + 1:]:
+            axis_v = axis_of(_row_matrix(entries, j))
             if any(
                 same_point(p, q)
                 for p in axis_u.endpoints()
                 for q in axis_v.endpoints()
             ):
                 continue
-            pair = (u, v)
+            pair = (i, j)
             break
         if pair:
             break
     if pair is None:
         return FuchsianResult("elementary")
 
-    u, v = pair
+    u, v = ball[pair[0]], ball[pair[1]]
     product = _concatenated(group, u, v)
     if classify(product.matrix, tol_trace).kind == "screw":
         return FuchsianResult("screw_found", witness=product)
@@ -748,7 +798,7 @@ def fuchsian_test(
     except (ScrewInput, PlaneVerificationFailed):
         return FuchsianResult("plane_failed")
     for i in np.flatnonzero(~_keeps_plane(entries, plane, tol)).tolist():
-        if not preserves_circle(ball[i].matrix, plane, tol):
+        if not preserves_circle(_row_matrix(entries, i), plane, tol):
             return FuchsianResult("plane_failed", witness=ball[i])
     return FuchsianResult("all_non_screw_with_plane", plane=plane)
 

@@ -73,6 +73,10 @@ class RunConfig:
             )
         if not length_cutoff > 0:
             raise OutOfRange("length cutoff must be positive")
+        if not tol_trace >= 0:
+            raise OutOfRange(
+                "trace tolerance must be nonnegative, got %r" % (tol_trace,)
+            )
         if cap <= 0:
             raise OutOfRange("element budget must be positive")
         self.max_word_len = max_word_len

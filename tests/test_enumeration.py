@@ -20,6 +20,7 @@ from loxo.enumeration import (
     spectrum,
     thrice_punctured_test,
 )
+from loxo.certification import simplicity_check
 from loxo.errors import BudgetExceeded, PlaneVerificationFailed, ScrewInput
 from loxo.geometry import (
     axis_of,
@@ -304,6 +305,91 @@ def test_ball_budget():
     group = presentation(THRICE_PUNCTURED)
     with pytest.raises(BudgetExceeded):
         enumerate_ball(group, 3, cap=10)
+
+
+@pytest.fixture
+def built_words(monkeypatch):
+    """Count the GroupWords that loxo.enumeration constructs."""
+    count = [0]
+
+    class CountedWord(loxo.enumeration.GroupWord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            count[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(loxo.enumeration, "GroupWord", CountedWord)
+    return count
+
+
+def test_enumerate_ball_builds_no_words(built_words):
+    ball = enumerate_ball(presentation(FIGURE_EIGHT), 6)
+    assert len(ball) == 4 + 12 + 36 + 108 + 314 + 900
+    assert built_words[0] == 0
+    ball[-1]
+    assert built_words[0] == 6
+
+
+def test_ball_words_are_built_once():
+    ball = enumerate_ball(presentation(FIGURE_EIGHT), 4)
+    n = len(ball)
+    assert ball[n - 1] is ball[-1] is ball[n - 1]
+    assert ball[7] is ball[7 - n]
+    words = list(ball)
+    assert len(words) == n
+    assert all(ball[i] is word for i, word in enumerate(words))
+    assert list(ball) == words
+    assert ball[3:40:5] == words[3:40:5]
+    assert ball[::-1] == words[::-1]
+    assert ball[n:] == []
+    assert words[-1] in ball
+    # words compare by identity: an equal copy is not in the ball
+    copy = loxo.enumeration.GroupWord(words[0].letters, words[0].name, words[0].matrix)
+    assert copy not in ball
+    with pytest.raises(IndexError):
+        ball[n]
+    with pytest.raises(IndexError):
+        ball[-n - 1]
+
+
+def test_ball_parents_and_letters_spell_every_word():
+    ball = enumerate_ball(presentation(THRICE_PUNCTURED), 5)
+    parents, letters = ball.parents.tolist(), ball.letters.tolist()
+    spelled = []
+    for i in range(len(ball)):
+        word = []
+        while i >= 0:
+            word.append(letters[i])
+            i = parents[i]
+        spelled.append(tuple(reversed(word)))
+    assert spelled == [w.letters for w in ball]
+    assert all(p < i for i, p in enumerate(parents))
+
+
+TORUS = (
+    ("a", MoebiusIsometry(1, 1, 1, 2)),
+    ("b", MoebiusIsometry(1, -1, -1, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "pairs, simple",
+    [(THRICE_PUNCTURED, False), (TORUS, True)],
+    ids=["thrice_punctured", "torus"],
+)
+def test_ball_kernels_build_few_words(pairs, simple, built_words):
+    group = presentation(pairs)
+    ball = enumerate_ball(group, 8)
+    axis = axis_of(group.word((0, 2)).matrix)  # the axis of a b
+    built_words[0] = 0
+    assert shortest_screw(group, 8, ball=ball) is None
+    assert fuchsian_test(group, 8, ball=ball).verdict == "all_non_screw_with_plane"
+    report = simplicity_check(group, axis, 8, ball=ball)
+    assert report.is_simple == simple
+    if not simple:
+        assert report.witness is ball[0]
+    assert 0 < built_words[0] <= 24
 
 
 def test_word_names_use_prime_for_inverse():

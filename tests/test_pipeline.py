@@ -65,6 +65,18 @@ def test_config_validation():
         RunConfig(cap=0)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, float("nan"), -math.inf])
+def test_config_rejects_bad_trace_tolerance(tol):
+    with pytest.raises(OutOfRange):
+        RunConfig(tol_trace=tol)
+
+
+def test_config_accepts_zero_trace_tolerance():
+    group, _ = load_group_file(fixture("thrice_punctured.json"))
+    report = classify_manifold(group, RunConfig(max_word_len=4, tol_trace=0.0))
+    assert report.to_dict()["config"]["tol_trace"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # load_group_file
 
@@ -587,6 +599,32 @@ def test_cli_rejects_non_finite_floats(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_INPUT_ERROR
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify-manifold", fixture("thrice_punctured.json"), "--tol=-1e-12"],
+        ["classify-manifold", fixture("figure_eight.json"), "--tol", "-1"],
+        ["ball", fixture("figure_eight.json"), "--tol=-1"],
+        ["classify-element", "--matrix", "2", "0", "0", "0", "0", "0", "0.5",
+         "0", "--tol=-1e-9"],
+    ],
+)
+def test_cli_rejects_negative_tolerance(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "negative tolerance" in capsys.readouterr().err
+
+
+def test_cli_zero_tolerance_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify-manifold", fixture("thrice_punctured.json"),
+        "--tol", "0", "--max-word-len", "4", "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["tol_trace"] == 0.0
 
 
 def test_cli_classify_element(capsys):
