@@ -27,6 +27,7 @@ from .geometry import (
     INTERSECTION_TOL,
     geodesic_separation,
     halfturn_matrix,
+    halfturn_separation,
     same_line,
     transform_line,
 )
@@ -67,21 +68,27 @@ _COSH_INTERSECTION = math.cosh(INTERSECTION_TOL)
 _EPS = float(np.finfo(float).eps)
 
 
-def _chordal(z1, w1, z2, w2):
-    """chordal_distance between arrays of homogeneous points."""
-    return (
-        2.0
-        * np.abs(z1 * w2 - z2 * w1)
-        / (np.hypot(np.abs(z1), np.abs(w1)) * np.hypot(np.abs(z2), np.abs(w2)))
-    )
+def _norm(z, w):
+    return np.hypot(np.abs(z), np.abs(w))
+
+
+def _chordal(z1, w1, n1, z2, w2, n2):
+    """chordal_distance between arrays of homogeneous points (z : w) of
+    norms n = _norm(z, w)."""
+    return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
 
 
 def _translate_screen(axis, entries):
     """Rows whose translate of the axis the scalar scan must look at.
 
-    A row is left out when it surely stabilizes the axis, or when its
-    translate is surely a proper line that shares no endpoint with the
-    axis, does not cross it and stays clear of the nearest translate.
+    Returns the rows to scan, the rows among them that tie for the nearest
+    translate, and the half-turn about the axis (None when it cannot be
+    built, and then no row ties).  A row is left out when it surely
+    stabilizes the axis, or when its translate is surely a proper line
+    that shares no endpoint with the axis, does not cross it and stays
+    clear of the nearest translate.  A tied row is surely such a proper
+    line, apart from the axis and not crossing it, so only its distance
+    is left to compute.
 
     Roundoff slack: an image w p is off in direction by 7 eps M |p| / |w p|
     (M the largest entry of w), so chordal distances get a slack of
@@ -96,13 +103,21 @@ def _translate_screen(axis, entries):
     pz, pw = a * p.z + b * p.w, c * p.z + d * p.w
     qz, qw = a * q.z + b * q.w, c * q.z + d * q.w
     big = np.abs(entries).max(axis=1)
+    p_norm, q_norm = _norm(p.z, p.w), _norm(q.z, q.w)
+    wp_norm, wq_norm = _norm(pz, pw), _norm(qz, qw)
     with np.errstate(invalid="ignore", divide="ignore"):
-        to_p = _chordal(pz, pw, p.z, p.w), _chordal(qz, qw, p.z, p.w)
-        to_q = _chordal(pz, pw, q.z, q.w), _chordal(qz, qw, q.z, q.w)
-        proper = _chordal(pz, pw, qz, qw)
+        to_p = (
+            _chordal(pz, pw, wp_norm, p.z, p.w, p_norm),
+            _chordal(qz, qw, wq_norm, p.z, p.w, p_norm),
+        )
+        to_q = (
+            _chordal(pz, pw, wp_norm, q.z, q.w, q_norm),
+            _chordal(qz, qw, wq_norm, q.z, q.w, q_norm),
+        )
+        proper = _chordal(pz, pw, wp_norm, qz, qw, wq_norm)
         stretch = big * (
-            math.hypot(abs(p.z), abs(p.w)) / np.hypot(np.abs(pz), np.abs(pw))
-            + math.hypot(abs(q.z), abs(q.w)) / np.hypot(np.abs(qz), np.abs(qw))
+            math.hypot(abs(p.z), abs(p.w)) / wp_norm
+            + math.hypot(abs(q.z), abs(q.w)) / wq_norm
         )
     slack = 32 * _EPS * (1.0 + stretch)
     below, above = CHORDAL_TOL - slack, CHORDAL_TOL + slack
@@ -118,7 +133,7 @@ def _translate_screen(axis, entries):
         h = halfturn_matrix(axis)
     except NearSingular:
         # the scalar separation fails on every translate: scan them all
-        return ~stabilizer
+        return ~stabilizer, np.zeros(len(entries), dtype=bool), None
 
     g = conjugate_rows(h, entries)
     t = h.a * g[:, 0] + h.b * g[:, 2] + h.c * g[:, 1] + h.d * g[:, 3]
@@ -132,11 +147,11 @@ def _translate_screen(axis, entries):
         near_real & (np.abs(t.real) <= 2.0 + TOL_TRACE + error)
     )
     scan = ~stabilizer & (~apart | crossing)
-    clear = ~stabilizer & ~scan
-    if clear.any():
-        reach = (x[clear] + error[clear]).min() * (1.0 + 1e-9)
-        scan |= clear & (x - error <= reach)
-    return scan
+    tied = ~stabilizer & ~scan
+    if tied.any():
+        reach = (x[tied] + error[tied]).min() * (1.0 + 1e-9)
+        tied &= x - error <= reach
+    return scan | tied, tied, h
 
 
 def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
@@ -152,18 +167,24 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
 
     A numpy screen of the whole ball picks the words to scan; the scalar
     test runs on their matrices in ball order, so witnesses and distances
-    are its.  ball, when given, must be an enumerate_ball result; only a
-    witness's word is built.
+    are its.  For a translate the screen has proved to be a line apart
+    from the axis, the test goes straight to the half-turn product.  ball,
+    when given, must be an enumerate_ball result; only a witness's word is
+    built.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
+    scan, tied, h = _translate_screen(axis, entries)
     closest = math.inf
-    for i in np.flatnonzero(_translate_screen(axis, entries)).tolist():
+    for i in np.flatnonzero(scan).tolist():
         translate = transform_line(_row_matrix(entries, i), axis)
-        if same_line(translate, axis):
+        if tied[i]:
+            sep = halfturn_separation(halfturn_matrix(translate), h)
+        elif same_line(translate, axis):
             continue
-        sep = geodesic_separation(translate, axis)
+        else:
+            sep = geodesic_separation(translate, axis)
         if sep.distance < INTERSECTION_TOL:
             return SimplicityReport(
                 "self_intersecting",

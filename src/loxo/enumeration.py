@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     EXIT_OK,
     BudgetExceeded,
-    NearSingular,
     PlaneVerificationFailed,
     ScrewInput,
 )
@@ -41,13 +40,14 @@ from .geometry import (
 )
 from .halfturn import invariant_plane
 from .isometry import (
-    SIGN_TOL,
-    TOL_DET,
+    _MARGIN,
     TOL_TRACE,
     MoebiusIsometry,
+    canonical_rows,
     classify,
     complex_length,
     fixed_points,
+    product_rows,
     same_point,
 )
 
@@ -71,87 +71,139 @@ def _keys(rows):
 
 
 def _scale(rows):
-    return float(np.abs(rows.view(np.float64)).max(initial=0.0))
+    """Largest |coordinate| of an (n, 4) complex array, without a copy."""
+    coords = rows.view(np.float64)
+    return max(float(coords.max(initial=0.0)), -float(coords.min(initial=0.0)))
+
+
+def _ranges(lo, hi):
+    """The concatenation of range(lo[k], hi[k]) over k, as one array."""
+    counts = hi - lo
+    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(
+        counts.sum()
+    )
+
+
+def _matches(x, i, y, j):
+    """Whether row i[k] of x lies within MERGE_TOL of row j[k] of y.
+
+    psl_distance is taken in numpy with np.hypot of the real and imaginary
+    parts, libm's hypot as in CPython's complex abs (numpy's own complex
+    abs may differ in the last bit); a pair within _MARGIN of MERGE_TOL is
+    decided by the scalar psl_distance.
+    """
+    def entrywise_max(z):
+        return np.hypot(z.real, z.imag).max(axis=1)
+
+    rows, partners = x[i], y[j]
+    distance = np.minimum(
+        entrywise_max(rows - partners), entrywise_max(rows + partners)
+    )
+    match = distance <= MERGE_TOL
+    for k in np.flatnonzero(
+        ~(np.abs(distance - MERGE_TOL) > _MARGIN * MERGE_TOL)
+    ).tolist():
+        match[k] = (
+            _row_matrix(x, i[k]).psl_distance(_row_matrix(y, j[k])) <= MERGE_TOL
+        )
+    return match
 
 
 class MatrixStore:
     """Index of PSL(2, C) matrices under MERGE_TOL, either sign.
 
-    Rows are kept sorted by their key |projection|.  A lookup confirms with
-    psl_distance only the rows whose keys lie in a window of half-width
+    ``rows`` holds the stored rows in the order they were added; only their
+    keys |projection| and row numbers are kept sorted.  A lookup confirms
+    with psl_distance only the rows whose keys lie in a window of half-width
     _WEIGHT_SUM * (MERGE_TOL + 1e-14 * scale), scale the largest coordinate
     seen; the 1e-14 term exceeds the roundoff of both projections, so no
-    row within MERGE_TOL falls outside the window.  Row numbers count the
-    rows in the order they were stored.
+    row within MERGE_TOL falls outside the window.
     """
 
-    __slots__ = ("_keys", "_rows", "_numbers", "_scale")
+    __slots__ = ("rows", "_keys", "_numbers", "_scale")
 
     def __init__(self, rows=None):
-        rows = np.ascontiguousarray(
+        self.rows = np.ascontiguousarray(
             np.empty((0, 4)) if rows is None else rows, dtype=complex
         )
-        keys = _keys(rows)
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._rows = rows[order]
-        self._numbers = order
-        self._scale = _scale(rows)
+        keys = _keys(self.rows)
+        self._numbers = np.argsort(keys)
+        self._keys = keys[self._numbers]
+        self._scale = _scale(self.rows)
 
     def _slack(self, scale):
         return _WEIGHT_SUM * (MERGE_TOL + 1e-14 * max(self._scale, scale))
-
-    def _match(self, m, key, slack):
-        lo, hi = self._keys.searchsorted((key - slack, key + slack))
-        for i in range(lo, hi):
-            if m.psl_distance(_row_matrix(self._rows, i)) <= MERGE_TOL:
-                return int(self._numbers[i])
-        return None
 
     def find(self, m):
         """Row number of a stored row within MERGE_TOL of m, or None."""
         coords = np.array((m.a, m.b, m.c, m.d)).view(np.float64)
         key = abs(float(coords @ _WEIGHTS))
-        return self._match(m, key, self._slack(float(np.abs(coords).max())))
+        slack = self._slack(float(np.abs(coords).max()))
+        lo, hi = self._keys.searchsorted((key - slack, key + slack))
+        for n in self._numbers[lo:hi].tolist():
+            if m.psl_distance(_row_matrix(self.rows, n)) <= MERGE_TOL:
+                return n
+        return None
 
     def add_rows(self, rows):
         """Add each row of an (n, 4) complex array unless it merges.
 
         Rows are taken in order: a row within MERGE_TOL of a stored row or
-        of an earlier added row of the array is skipped.  A row whose key
-        has no other key within the window, stored or in the array, is
-        added without a test.  Returns the indices of the rows added.
+        of an earlier added row of the array is skipped.  Only a row with
+        another key in its window, stored or in the array, is tested: one
+        numpy psl_distance over all its (row, partner) pairs, the scalar
+        psl_distance for a pair within _MARGIN of MERGE_TOL.  Returns the
+        indices of the rows added.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
+        scale = _scale(rows)
+        slack = self._slack(scale)
         keys = _keys(rows)
-        slack = self._slack(_scale(rows))
         order = np.argsort(keys)
-        sorted_keys = keys[order]
-        close = ~(np.diff(sorted_keys) > slack)
-        crowded = np.zeros(len(rows), dtype=bool)
-        crowded[order[:-1][close]] = True
-        crowded[order[1:][close]] = True
-        lo, hi = self._keys.searchsorted((keys - slack, keys + slack))
-        crowded |= lo < hi
-        added = ~crowded
-        for i in np.flatnonzero(crowded).tolist():
-            m = _row_matrix(rows, i)
-            key = float(keys[i])
-            lo, hi = sorted_keys.searchsorted((key - slack, key + slack))
-            added[i] = self._match(m, key, slack) is None and not any(
-                j < i
-                and added[j]
-                and m.psl_distance(_row_matrix(rows, j)) <= MERGE_TOL
-                for j in order[lo:hi].tolist()
-            )
-        added = np.flatnonzero(added)
-        new = np.argsort(keys[added])
-        at = self._keys.searchsorted(keys[added][new])
-        self._numbers = np.insert(self._numbers, at, len(self._numbers) + new)
-        self._keys = np.insert(self._keys, at, keys[added][new])
-        self._rows = np.insert(self._rows, at, rows[added][new], axis=0)
-        self._scale = max(self._scale, _scale(rows))
-        return added
+        keys = keys[order]
+        lo = self._keys.searchsorted(keys - slack)
+        hi = self._keys.searchsorted(keys + slack)
+        close = ~(np.diff(keys) > slack)
+        crowded = lo < hi
+        crowded[:-1] |= close
+        crowded[1:] |= close
+        added = np.ones(len(rows), dtype=bool)
+        at = np.flatnonzero(crowded)
+        if at.size:
+            lo, hi = lo[at], hi[at]
+            own_lo = keys.searchsorted(keys[at] - slack)
+            own_hi = keys.searchsorted(keys[at] + slack)
+            # (row, stored row) pairs, then (row, earlier row of the array)
+            row_s = order[np.repeat(at, hi - lo)]
+            stored = self._numbers[_ranges(lo, hi)]
+            row_o = order[np.repeat(at, own_hi - own_lo)]
+            own = order[_ranges(own_lo, own_hi)]
+            earlier = own < row_o
+            row_o, own = row_o[earlier], own[earlier]
+            added[row_s[_matches(rows, row_s, self.rows, stored)]] = False
+            match = _matches(rows, row_o, rows, own)
+            for i, j in sorted(zip(row_o[match].tolist(), own[match].tolist())):
+                if added[j]:
+                    added[i] = False
+        # a stable sort of two sorted runs merges them
+        new = added[order]
+        keys = np.concatenate((self._keys, keys[new]))
+        numbers = np.concatenate((
+            self._numbers, (len(self.rows) - 1 + np.cumsum(added))[order[new]]
+        ))
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._numbers = numbers[order]
+        # the level's temporaries go before the store's rows grow
+        del order, keys, new, numbers
+        kept = np.flatnonzero(added)
+        grown = np.empty((len(self.rows) + len(kept), 4), dtype=complex)
+        grown[: len(self.rows)] = self.rows
+        # mode "clip" takes straight into out; the default buffers a copy
+        np.take(rows, kept, axis=0, out=grown[len(self.rows):], mode="clip")
+        self.rows = grown
+        self._scale = max(self._scale, scale)
+        return kept
 
 
 class GroupPresentation:
@@ -292,81 +344,8 @@ def _row_matrix(entries, i):
     return _isometry(*entries[i].tolist())
 
 
-# CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
-# times it, whose 0.0 * Im term can change the sign of a zero real part;
-# the canonical sign below repeats this interpreter's rule bit for bit.
-_FLOAT_TIMES_COMPLEX_WIDENS = (
-    math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
-)
 # parents per numpy pass, so that a level's temporaries stay bounded
 _LEVEL_CHUNK = 2048
-
-
-def _products(parents, letters):
-    """Row (p, l) of p * l for every parent row p and letter row l.
-
-    Real and imaginary parts are formed as CPython's complex product and
-    sum form them, so each entry equals MoebiusIsometry.__mul__'s before
-    normalization.  numpy's own complex multiply may differ in the last
-    bit.
-    """
-    p_re, p_im = parents.real[:, None, :], parents.imag[:, None, :]
-    l_re, l_im = letters.real[None, :, :], letters.imag[None, :, :]
-
-    def entry(i, j, k, l):
-        # parent[i] * letter[j] + parent[k] * letter[l]
-        re = (p_re[..., i] * l_re[..., j] - p_im[..., i] * l_im[..., j]) + (
-            p_re[..., k] * l_re[..., l] - p_im[..., k] * l_im[..., l]
-        )
-        im = (p_re[..., i] * l_im[..., j] + p_im[..., i] * l_re[..., j]) + (
-            p_re[..., k] * l_im[..., l] + p_im[..., k] * l_re[..., l]
-        )
-        return re, im
-
-    out = np.empty(parents.shape[:1] + letters.shape[:1] + (4,), dtype=complex)
-    for slot, (i, j, k, l) in enumerate(
-        ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
-    ):
-        out.real[..., slot], out.imag[..., slot] = entry(i, j, k, l)
-    return out
-
-
-def _canonical_rows(raw):
-    """Rows as MoebiusIsometry would store them, and its error if any.
-
-    The canonical sign is taken in numpy for rows of unit determinant
-    (within TOL_DET / 2, so no row near the rescale test relies on numpy's
-    hypot) whose trace has a part above the sign threshold.  Every other
-    row goes through MoebiusIsometry itself.  When that raises, the rows
-    before the failing one are returned with the exception.
-    """
-    ar, ai = raw.real[:, 0], raw.imag[:, 0]
-    br, bi = raw.real[:, 1], raw.imag[:, 1]
-    cr, ci = raw.real[:, 2], raw.imag[:, 2]
-    dr, di = raw.real[:, 3], raw.imag[:, 3]
-    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
-    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
-    tr, ti = ar + dr, ai + di
-    by_real = np.abs(tr) > SIGN_TOL
-    scalar = ~(np.hypot(det_re - 1.0, det_im) <= TOL_DET / 2) | ~(
-        by_real | (np.abs(ti) > SIGN_TOL)
-    )
-    s = np.where(by_real, np.where(tr > 0.0, 1.0, -1.0),
-                 np.where(ti > 0.0, 1.0, -1.0))[:, None]
-    rows = np.empty_like(raw)
-    if _FLOAT_TIMES_COMPLEX_WIDENS:
-        rows.real[:] = s * raw.real - 0.0 * raw.imag
-        rows.imag[:] = s * raw.imag + 0.0 * raw.real
-    else:
-        rows.real[:] = s * raw.real
-        rows.imag[:] = s * raw.imag
-    for i in np.flatnonzero(scalar).tolist():
-        try:
-            m = MoebiusIsometry(*raw[i].tolist())
-        except NearSingular as exc:
-            return rows[:i], exc
-        rows[i] = (m.a, m.b, m.c, m.d)
-    return rows, None
 
 
 def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
@@ -386,38 +365,41 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
         dtype=complex,
     ).reshape(-1, 4)
     identity = MoebiusIsometry.identity()
-    frontier_rows = np.array([(identity.a, identity.b, identity.c, identity.d)])
+    # the store's row 0 is the identity; ball row i is store row i + 1
+    seen = MatrixStore(
+        np.array([(identity.a, identity.b, identity.c, identity.d)])
+    )
+    frontier_rows = seen.rows
     frontier_last = np.array([-2])
     # ball row of the frontier's first word; the identity's row is -1
     offset = -1
-    size = 0
-    levels = [np.empty((0, 4), dtype=complex)]
     parents = [np.empty(0, dtype=np.intp)]
     letters = [np.empty(0, dtype=np.intp)]
-    seen = MatrixStore(frontier_rows)
     letter_index = np.arange(n_letters)
     for length in range(1, max_word_len + 1):
-        chunks = []
+        # free reduction: no letter right after its inverse
+        allowed = letter_index[None, :] != (frontier_last ^ 1)[:, None]
+        parent_of, letter_of = np.nonzero(allowed)
+        rows = np.empty((len(parent_of), 4), dtype=complex)
+        filled, error = 0, None
         for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
             stop = start + _LEVEL_CHUNK
-            # free reduction: no letter right after its inverse
-            allowed = letter_index[None, :] != (frontier_last[start:stop] ^ 1)[:, None]
-            parent_of, letter_of = np.nonzero(allowed)
-            raw = _products(frontier_rows[start:stop], letter_rows)[allowed]
-            rows, error = _canonical_rows(raw)
-            chunks.append(
-                (rows, start + parent_of[: len(rows)], letter_of[: len(rows)])
+            chunk, error = canonical_rows(
+                product_rows(frontier_rows[start:stop], letter_rows)[
+                    allowed[start:stop]
+                ]
             )
+            rows[filled:filled + len(chunk)] = chunk
+            filled += len(chunk)
             if error is not None:
                 break
-        rows, parent_of, letter_of = map(np.concatenate, zip(*chunks))
-        kept = seen.add_rows(rows)
-        levels.append(rows[kept])
+        kept = seen.add_rows(rows[:filled])
+        # the candidates go before the next level's are built
+        del rows
         parents.append(offset + parent_of[kept])
         letters.append(letter_of[kept])
-        offset = size
-        size += len(kept)
-        if size > cap:
+        offset = len(seen.rows) - 1 - len(kept)
+        if len(seen.rows) - 1 > cap:
             raise BudgetExceeded(
                 "ball exceeds %d elements at radius %d" % (cap, length)
             )
@@ -425,10 +407,10 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
             raise error
         if not len(kept):
             break
-        frontier_rows = levels[-1]
+        frontier_rows = seen.rows[-len(kept):]
         frontier_last = letters[-1]
     return Ball(
-        np.concatenate(levels),
+        seen.rows[1:],
         np.concatenate(parents),
         np.concatenate(letters),
         [group.letter_label(l) for l in range(n_letters)],
@@ -452,9 +434,10 @@ def _trace_kinds(entries, tol_trace):
 
     The tests repeat classify's float operations on the same entries, so
     numpy and the scalar code can differ only in the last bit of a hypot.
-    A row with a tested quantity within 1e-12 of its threshold, a row in
-    the band where classify raises, and a row that is not finite are left
-    undecided.
+    They run in classify's order, and a row is left undecided when a test
+    up to the one that decides it has its quantity within 1e-12 of the
+    threshold, when it lies in the band where classify raises, or when it
+    is not finite.
     """
     a, b, c, d = entries.T
     t = a + d
@@ -466,26 +449,18 @@ def _trace_kinds(entries, tol_trace):
     parabolic = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
     imag = np.abs(t.imag)
     real = np.abs(t.real)
-    kinds = np.select(
-        [
-            identity <= tol_trace,
-            parabolic <= tol_trace,
-            imag > tol_trace,
-            real > 2.0,
-            real < 2.0 - tol_trace,
-        ],
-        [_IDENTITY, _PARABOLIC, _SCREW, _HYPERBOLIC, _ELLIPTIC],
-        _UNDECIDED,
-    )
-    for q, threshold in (
-        (identity, tol_trace),
-        (parabolic, tol_trace),
-        (imag, tol_trace),
-        (real, 2.0),
-        (real, 2.0 - tol_trace),
+    kinds = np.full(len(entries), _UNDECIDED)
+    undecided = np.isfinite(entries).all(axis=1)
+    for q, threshold, passed, kind in (
+        (identity, tol_trace, identity <= tol_trace, _IDENTITY),
+        (parabolic, tol_trace, parabolic <= tol_trace, _PARABOLIC),
+        (imag, tol_trace, imag > tol_trace, _SCREW),
+        (real, 2.0, real > 2.0, _HYPERBOLIC),
+        (real, 2.0 - tol_trace, real < 2.0 - tol_trace, _ELLIPTIC),
     ):
-        kinds[~(np.abs(q - threshold) > 1e-12)] = _UNDECIDED
-    kinds[~np.isfinite(entries).all(axis=1)] = _UNDECIDED
+        clear = np.abs(q - threshold) > 1e-12
+        kinds[undecided & clear & passed] = kind
+        undecided &= clear & ~passed
     return kinds
 
 
@@ -681,11 +656,17 @@ def spectrum(
     )
 
 
+# Screw lengths within this relative slack of the least tie.
+_TIE = 1e-12
+
+
 def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     """Screw element of least translation length, shortlex tie-break.
 
-    ball, when given, must be an enumerate_ball result; only the winner's
-    word is built.
+    Lengths within a relative 1e-12 of the least tie, so that roundoff
+    does not choose among equal lengths: the first tied word in shortlex
+    order wins, with its own length and angle.  ball, when given, must be
+    an enumerate_ball result; only the winner's word is built.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
@@ -694,23 +675,27 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     scan = kinds == _UNDECIDED
     screws = np.flatnonzero(kinds == _SCREW)
     if screws.size:
-        # cosh(l / 2) grows with the length l; numpy's value and the one
-        # behind complex_length's arccosh differ by a few ulps, far inside
-        # the relative slack of 1e-12
+        # cosh(l / 2) grows with the length l: scan the rows whose key is
+        # within the tie of the least key's length, with a further relative
+        # 1e-12 for the few ulps numpy's key and complex_length differ by
         x = _cosh_half_length(entries[screws, 0] + entries[screws, 3])
-        scan[screws[x <= x.min() * (1.0 + 1e-12)]] = True
-    best = None
+        least = math.acosh(max(float(x.min()), 1.0))
+        reach = math.cosh(least * (1.0 + _TIE)) * (1.0 + _TIE)
+        scan[screws[x <= reach]] = True
+    found = []
     for i in np.flatnonzero(scan).tolist():
         m = _row_matrix(entries, i)
         cls = classify(m, tol_trace)
-        if cls.kind != "screw":
-            continue
-        # ball rows are in shortlex order, so the row breaks ties
-        if best is None or (cls.length, i) < best[:2]:
-            best = (cls.length, i, cls, m)
-    if best is None:
+        if cls.kind == "screw":
+            found.append((i, cls, m))
+    if not found:
         return None
-    _, i, cls, m = best
+    least = min(cls.length for _, cls, _ in found)
+    # ball rows are in shortlex order, so the first tied row wins; a length
+    # that is not a number ties too, so the loop always stops
+    for i, cls, m in found:
+        if not cls.length > least * (1.0 + _TIE):
+            break
     return SpectrumEntry(
         ball[i], cls.kind, cls.length, cls.angle, axis_of(m, tol_trace)
     )

@@ -349,7 +349,13 @@ def geodesic_separation(l1, l2, tol=CHORDAL_TOL):
         raise IdenticalLines("separation of a line from itself")
     if shares_endpoint(l1, l2, tol):
         return GeodesicSeparation(0.0, 0.0)
-    product = halfturn_matrix(l1) * halfturn_matrix(l2)
+    return halfturn_separation(halfturn_matrix(l1), halfturn_matrix(l2))
+
+
+def halfturn_separation(h1, h2):
+    """geodesic_separation of two distinct lines without a shared endpoint,
+    from the half-turns about them."""
+    product = h1 * h2
     try:
         cl = complex_length(product)
     except UndefinedLength:

@@ -5,10 +5,16 @@ complex matrix up to sign.  Everything downstream keys off the trace: a motion
 translates along its axis without rotation exactly when the trace is real, so
 the classifier below separates screw motions from the rest by the imaginary
 part of the trace alone.
+
+`product_rows` and `canonical_rows` repeat the product and the constructor
+on numpy arrays of entries, with the same float operations, so a word ball
+built a level at a time holds the matrices bit for bit.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import (
     AmbiguousClass,
@@ -149,6 +155,137 @@ def normalize(matrix):
     if isinstance(matrix, MoebiusIsometry):
         return MoebiusIsometry(matrix.a, matrix.b, matrix.c, matrix.d)
     return MoebiusIsometry.from_matrix(matrix)
+
+
+# ---------------------------------------------------------------------------
+# The same arithmetic on (n, 4) complex arrays of entries (a, b, c, d)
+
+# Relative margin of a numpy decision against the scalar code it repeats:
+# a quantity tested against a threshold is computed with a hypot, which
+# another libm may round otherwise; within the margin the scalar code runs.
+_MARGIN = 1e-9
+
+
+# CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
+# times it, whose 0.0 * Im term can change the sign of a zero real part;
+# the canonical sign below repeats this interpreter's rule bit for bit.
+_FLOAT_TIMES_COMPLEX_WIDENS = (
+    math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
+)
+
+
+# Slots (i, j, k, l) of the product entries parent[i] * letter[j] +
+# parent[k] * letter[l], for the entries a, b, c, d in turn.
+_I, _J, _K, _L = (
+    np.array(slots)
+    for slots in ((0, 0, 2, 2), (0, 1, 0, 1), (1, 1, 3, 3), (2, 3, 2, 3))
+)
+
+
+def product_rows(parents, letters):
+    """Row (p, l) of p * l for every parent row p and letter row l.
+
+    All four entries are formed in one broadcast over (slot, letter,
+    parent), so the long parent axis is the inner loop.  Real and imaginary
+    parts are formed as CPython's complex product and sum form them, so
+    each entry equals MoebiusIsometry.__mul__'s before normalization.
+    numpy's own complex multiply may differ in the last bit.
+    """
+    p_re, p_im = parents.real.T, parents.imag.T
+    l_re, l_im = letters.real.T[:, :, None], letters.imag.T[:, :, None]
+    pi_re, pi_im = p_re[_I, None, :], p_im[_I, None, :]
+    pk_re, pk_im = p_re[_K, None, :], p_im[_K, None, :]
+    lj_re, lj_im, ll_re, ll_im = l_re[_J], l_im[_J], l_re[_L], l_im[_L]
+    out = np.empty(parents.shape[:1] + letters.shape[:1] + (4,), dtype=complex)
+    out.real[:] = (
+        (pi_re * lj_re - pi_im * lj_im) + (pk_re * ll_re - pk_im * ll_im)
+    ).T
+    out.imag[:] = (
+        (pi_re * lj_im + pi_im * lj_re) + (pk_re * ll_im + pk_im * ll_re)
+    ).T
+    return out
+
+
+def _principal_sqrt(re, im):
+    """cmath.sqrt(complex(re, im)) as CPython forms it, for finite
+    arguments of modulus above DBL_MIN."""
+    ax = np.abs(re) / 8.0
+    s = 2.0 * np.sqrt(ax + np.hypot(ax, np.abs(im) / 8.0))
+    d = np.abs(im) / (2.0 * s)
+    right = re >= 0.0
+    return np.where(right, s, d), np.copysign(np.where(right, d, s), im)
+
+
+def _quotient(re, im, s_re, s_im):
+    """(re + i im) / (s_re + i s_im) as CPython's complex division forms
+    it, for a nonzero divisor."""
+    by_real = np.abs(s_re) >= np.abs(s_im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, s_im / s_re, s_re / s_im)
+        denom = np.where(by_real, s_re + s_im * ratio, s_re * ratio + s_im)
+        return (
+            np.where(by_real, re + im * ratio, re * ratio + im) / denom,
+            np.where(by_real, im - re * ratio, im * ratio - re) / denom,
+        )
+
+
+def canonical_rows(raw):
+    """Rows as MoebiusIsometry would store them, and its error if any.
+
+    numpy repeats the constructor's float operations: the determinant, the
+    rescale by its principal square root where |det - 1| > TOL_DET, and
+    the canonical sign.  A row goes through MoebiusIsometry itself when
+    |det - 1| or |det| lies within _MARGIN of TOL_DET, when it is not
+    finite, or when its trace is within SIGN_TOL of zero.  When that
+    raises, the rows before the failing one are returned with the
+    exception.
+    """
+    re, im = raw.real, raw.imag
+    ar, ai, br, bi, cr, ci, dr, di = (
+        part[:, n] for n in range(4) for part in (re, im)
+    )
+    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+    with np.errstate(invalid="ignore", over="ignore"):
+        size = np.hypot(det_re, det_im)
+        off = np.hypot(det_re - 1.0, det_im)
+    # det_re takes a product of each of the eight coordinates, so a row
+    # that is not finite has a determinant of size inf or nan
+    scalar = ~(
+        (size > TOL_DET * (1.0 + _MARGIN))
+        & (size < np.inf)
+        & (np.abs(off - TOL_DET) > _MARGIN * TOL_DET)
+    )
+    rescale = np.flatnonzero((off > TOL_DET) & ~scalar)
+    if rescale.size:
+        re, im = re.copy(), im.copy()
+        s_re, s_im = _principal_sqrt(det_re[rescale], det_im[rescale])
+        re[rescale], im[rescale] = _quotient(
+            re[rescale], im[rescale], s_re[:, None], s_im[:, None]
+        )
+    tr, ti = re[:, 0] + re[:, 3], im[:, 0] + im[:, 3]
+    by_real = np.abs(tr) > SIGN_TOL
+    scalar |= ~(by_real | (np.abs(ti) > SIGN_TOL))
+    s = np.where(by_real, np.where(tr > 0.0, 1.0, -1.0),
+                 np.where(ti > 0.0, 1.0, -1.0))[:, None]
+    rows = np.empty_like(raw)
+    if _FLOAT_TIMES_COMPLEX_WIDENS:
+        rows.real[:] = s * re - 0.0 * im
+        rows.imag[:] = s * im + 0.0 * re
+    else:
+        rows.real[:] = s * re
+        rows.imag[:] = s * im
+    for i in np.flatnonzero(scalar).tolist():
+        try:
+            m = MoebiusIsometry(*raw[i].tolist())
+        except NearSingular as exc:
+            return rows[:i], exc
+        rows[i] = (m.a, m.b, m.c, m.d)
+    return rows, None
+
+
+# ---------------------------------------------------------------------------
+# Boundary points, complex lengths and classification
 
 
 class BoundaryPoint:

@@ -201,3 +201,33 @@ def reference_groups():
 def seeded(name):
     """Deterministic RNG per test, decoupled across tests by name."""
     return random.Random(name)
+
+
+def float_groups():
+    """(name, group) pairs with float entries, on which the numpy rescale
+    of enumerate_ball meets MoebiusIsometry's: the figure_eight,
+    thrice_punctured, funnel and torus groups conjugated by a seeded
+    random isometry and by diag(k, 1/k), and a Schottky group."""
+    groups = dict(reference_groups())
+    out = []
+    for n, name in enumerate(
+        ("figure_eight", "thrice_punctured", "funnel", "torus")
+    ):
+        gens = groups[name].generators
+        k = 1.7 + 0.4 * n
+        for tag, g in (
+            ("conjugate", random_isometry(seeded("conjugate " + name))),
+            ("diagonal", MoebiusIsometry(k, 0, 0, 1 / k)),
+        ):
+            out.append((
+                "%s %s" % (name, tag),
+                GroupPresentation([x.conjugate_by(g) for x in gens]),
+            ))
+    out.append((
+        "schottky",
+        GroupPresentation([
+            MoebiusIsometry(-1.5, -7.75, 1, 4.5),
+            MoebiusIsometry(4.5, -7.75, 1, -1.5),
+        ]),
+    ))
+    return out

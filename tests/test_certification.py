@@ -25,7 +25,13 @@ from loxo.geometry import (
 )
 from loxo.isometry import MoebiusIsometry, classify
 
-from conftest import FIGURE_EIGHT, THRICE_PUNCTURED, reference_groups, seeded
+from conftest import (
+    FIGURE_EIGHT,
+    THRICE_PUNCTURED,
+    float_groups,
+    reference_groups,
+    seeded,
+)
 
 
 def presentation(pairs):
@@ -96,8 +102,15 @@ def reference_simplicity_check(axis, ball):
     return ("simple_up_to_bound", closest / 2.0)
 
 
+# the reference scans every translate, and on the Schottky group the
+# half-turn product of a far translate raises NearSingular
 @pytest.mark.parametrize(
-    "group", [pytest.param(g, id=name) for name, g in reference_groups()]
+    "group",
+    [
+        pytest.param(g, id=name)
+        for name, g in reference_groups() + float_groups()
+        if name != "schottky"
+    ],
 )
 def test_simplicity_check_matches_scalar_reference(group):
     # axes of the words up to length 2 and of the shortest screw

@@ -21,7 +21,12 @@ from loxo.enumeration import (
     thrice_punctured_test,
 )
 from loxo.certification import simplicity_check
-from loxo.errors import BudgetExceeded, PlaneVerificationFailed, ScrewInput
+from loxo.errors import (
+    BudgetExceeded,
+    NearSingular,
+    PlaneVerificationFailed,
+    ScrewInput,
+)
 from loxo.geometry import (
     axis_of,
     circle_through,
@@ -32,6 +37,7 @@ from loxo.geometry import (
 )
 from loxo.halfturn import invariant_plane
 from loxo.isometry import (
+    TOL_TRACE,
     BoundaryPoint,
     MoebiusIsometry,
     classify,
@@ -43,6 +49,7 @@ from loxo.pipeline import load_group_file
 from conftest import (
     FIGURE_EIGHT,
     THRICE_PUNCTURED,
+    float_groups,
     random_isometry,
     reference_groups,
     seeded,
@@ -52,6 +59,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 REFERENCE_GROUPS = [
     pytest.param(group, id=name) for name, group in reference_groups()
 ]
+FLOAT_GROUPS = [pytest.param(group, id=name) for name, group in float_groups()]
 
 
 def presentation(pairs):
@@ -138,16 +146,25 @@ def brute_force_keep(rows):
 
 def planted_rows(rng):
     """Random rows with planted pairs within MERGE_TOL, pairs 2 MERGE_TOL
-    apart, sign flips, repeated integer rows and entries near 1e13."""
+    apart, pairs within a few ulps of MERGE_TOL on either side, chains of
+    rows 0.8 MERGE_TOL apart, sign flips, repeated integer rows and entries
+    near 1e13."""
     def random_rows(n, scale=1.0):
         return (rng.uniform(-scale, scale, (n, 4))
                 + 1j * rng.uniform(-scale, scale, (n, 4)))
 
-    base = random_rows(40, 3.0)
+    base = random_rows(50, 3.0)
     # each coordinate off by under 0.7 MERGE_TOL: within MERGE_TOL entrywise
     near = base[:20] + random_rows(20, 0.7 * MERGE_TOL)
     apart = base[20:30].copy()
     apart[:, 1] += 2 * MERGE_TOL
+    # b entries 0 and MERGE_TOL (1 + k eps): psl_distance is exactly that
+    edge = np.repeat(base[30:40], 2, axis=0)
+    edge[:, 1] = 0.0
+    edge[1::2, 1] = MERGE_TOL * (1.0 + np.arange(-5, 5) * np.finfo(float).eps)
+    # a row merges only with a kept row: the ends of a chain are 1.6
+    # MERGE_TOL apart, so whether both stay depends on the order
+    chains = np.concatenate([base[40:50] + k * 0.8 * MERGE_TOL for k in (1, 2)])
     flipped = -np.concatenate((base[:10], near[10:]))
     pool = rng.integers(-3, 4, (6, 4)) + 1j * rng.integers(-1, 2, (6, 4))
     integers = np.concatenate((pool[rng.integers(0, 6, 30)], -pool[:3]))
@@ -158,24 +175,37 @@ def planted_rows(rng):
         # one ulp up, far beyond MERGE_TOL at this size
         np.nextafter(large[5:].view(np.float64), np.inf).view(complex),
     ))
-    rows = np.concatenate((base, near, apart, flipped, integers, large))
+    rows = np.concatenate(
+        (base, near, apart, edge, chains, flipped, integers, large)
+    )
     return rows[rng.permutation(len(rows))]
 
 
-def test_store_keeps_what_an_all_pairs_scan_keeps():
+def test_store_keeps_what_an_all_pairs_scan_keeps(monkeypatch):
+    scalar_calls = [0]
+    psl_distance = MoebiusIsometry.psl_distance
+
+    def counted(m, other):
+        scalar_calls[0] += 1
+        return psl_distance(m, other)
+
     for seed in range(4):
         rows = planted_rows(np.random.default_rng(seed))
         expected = brute_force_keep(rows)
         assert len(expected) < len(rows)
         store = MatrixStore()
         kept = []
+        monkeypatch.setattr(MoebiusIsometry, "psl_distance", counted)
         for start, stop in ((0, 50), (50, 51), (51, 120), (120, len(rows))):
             kept += (start + store.add_rows(rows[start:stop])).tolist()
+        monkeypatch.undo()
         assert kept == expected
         for row in rows:
             m = bare_isometry(row)
             found = store.find(m)
             assert m.psl_distance(bare_isometry(rows[kept[found]])) <= MERGE_TOL
+    # the pairs planted at MERGE_TOL are decided by the scalar psl_distance
+    assert scalar_calls[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +320,7 @@ def bits(values):
     return np.array(values, dtype=complex).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("group", REFERENCE_GROUPS[:4])
+@pytest.mark.parametrize("group", REFERENCE_GROUPS[:4] + FLOAT_GROUPS)
 def test_ball_entries_equal_word_products_bitwise(group):
     ball = enumerate_ball(group, 5)
     assert ball.entries.shape == (len(ball), 4)
@@ -299,6 +329,17 @@ def test_ball_entries_equal_word_products_bitwise(group):
         expected = bits([m.a, m.b, m.c, m.d])
         assert bits([word.matrix.a, word.matrix.b, word.matrix.c, word.matrix.d]) == expected
         assert bits(row) == expected
+
+
+def test_ball_near_singular_product_raises():
+    # entries near 20^7 make the determinant of a length-7 product cancel
+    group = GroupPresentation(
+        [MoebiusIsometry(19, 2, 9, 1), MoebiusIsometry(1, 0, 3, 1)]
+    )
+    enumerate_ball(group, 6)
+    with pytest.raises(NearSingular) as info:
+        enumerate_ball(group, 7)
+    assert str(info.value) == "determinant 0j too close to zero"
 
 
 def test_ball_budget():
@@ -583,6 +624,21 @@ def test_geodesics_keep_lengths_equal_to_the_cutoff():
 
 
 # ---------------------------------------------------------------------------
+# _trace_kinds
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
+def test_trace_kinds_agree_with_classify(group):
+    entries = enumerate_ball(group, 6).entries
+    kinds = loxo.enumeration._trace_kinds(entries, TOL_TRACE)
+    decided = np.flatnonzero(kinds != loxo.enumeration._UNDECIDED)
+    assert len(decided) > 0.9 * len(entries)
+    for i in decided.tolist():
+        kind = classify(bare_isometry(entries[i]), TOL_TRACE).kind
+        assert kinds[i] == loxo.enumeration._KIND_CODES[kind]
+
+
+# ---------------------------------------------------------------------------
 # shortest_screw
 
 
@@ -594,6 +650,21 @@ def test_shortest_screw_figure_eight():
     cls = classify(entry.word.matrix)
     assert cls.kind == "screw"
     assert abs(entry.length - cls.length) < 1e-15
+
+
+def test_shortest_screw_ties_go_to_the_shortlex_first_word():
+    # roundoff makes longer spellings of the systole's class a few ulps
+    # shorter than a b, at L = 8 and in conjugates of the group
+    group = presentation(FIGURE_EIGHT)
+    assert shortest_screw(group, 8).word.name == "a b"
+    for n in range(4):
+        g = random_isometry(seeded("figure_eight conjugate %d" % n))
+        conjugate = GroupPresentation(
+            [m.conjugate_by(g) for m in group.generators], group.labels
+        )
+        entry = shortest_screw(conjugate, 6)
+        assert entry.word.name == "a b"
+        assert entry.length == classify(entry.word.matrix).length
 
 
 def test_shortest_screw_none_for_real_group():
@@ -611,21 +682,24 @@ def test_shortest_screw_shrinks_with_radius():
 
 
 def reference_shortest_screw(ball):
-    """shortest_screw as a scalar loop: (word, length, angle) or None."""
-    best = None
-    best_key = None
+    """shortest_screw as a scalar loop: (word, length, angle) or None.
+    Lengths within a relative 1e-12 of the least tie, and the first tied
+    word in shortlex order wins."""
+    screws = []
     for word in ball:
         cls = classify(word.matrix)
-        if cls.kind != "screw":
-            continue
-        key = (cls.length, word.sort_key)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (word, cls.length, cls.angle)
-    return best
+        if cls.kind == "screw":
+            screws.append((word, cls.length, cls.angle))
+    if not screws:
+        return None
+    least = min(length for _, length, _ in screws)
+    return min(
+        (entry for entry in screws if entry[1] <= least * (1.0 + 1e-12)),
+        key=lambda entry: entry[0].sort_key,
+    )
 
 
-@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
 def test_shortest_screw_matches_scalar_reference(group):
     for length in range(1, 6):
         ball = enumerate_ball(group, length)
@@ -831,6 +905,21 @@ def test_fuchsian_test_classifies_each_word_once(monkeypatch):
     assert result.verdict == "all_non_screw_with_plane"
     # one classification per ball word, plus the product of the chosen pair
     assert len(calls) <= len(ball) + 1
+
+
+def test_fuchsian_test_classifies_no_exact_parabolic(monkeypatch):
+    group = presentation(THRICE_PUNCTURED)
+    ball = enumerate_ball(group, 6)
+    traces = []
+
+    def counted(m, tol_trace):
+        traces.append(m.trace)
+        return classify(m, tol_trace)
+
+    monkeypatch.setattr(loxo.enumeration, "classify", counted)
+    result = fuchsian_test(group, 6, ball=ball)
+    assert result.verdict == "all_non_screw_with_plane"
+    assert [t for t in traces if abs(t) == 2.0] == []
 
 
 def test_thrice_punctured_fixture_matches():

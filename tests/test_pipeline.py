@@ -352,7 +352,7 @@ def test_verdict_degenerate_translate_is_inconclusive():
     assert report.exit_code == EXIT_INCONCLUSIVE
     reason = report.to_dict()["reason"]
     assert reason.startswith(
-        "simplicity check of a b' a b b a' failed: DegeneratePoints"
+        "simplicity check of a b failed: DegeneratePoints"
     )
 
 
