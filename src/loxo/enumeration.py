@@ -41,13 +41,17 @@ from .geometry import (
 from .halfturn import invariant_plane
 from .isometry import (
     _MARGIN,
+    SIGN_TOL,
+    TOL_DET,
     TOL_TRACE,
     MoebiusIsometry,
     canonical_rows,
     classify,
     complex_length,
+    complex_product,
     fixed_points,
     product_rows,
+    real_product,
     same_point,
 )
 
@@ -274,10 +278,13 @@ class Ball(Sequence):
     letter; parents come before their children.  ``self[i]`` builds the
     GroupWord of row i on first read, walking ``parents`` up to the nearest
     built ancestor, and caches every word it builds, so a word is the same
-    object on every read.
+    object on every read.  ``trace_kinds(tol_trace)`` screens the entries
+    once per tolerance.
     """
 
-    __slots__ = ("entries", "parents", "letters", "_labels", "_words")
+    __slots__ = (
+        "entries", "parents", "letters", "_labels", "_words", "_kinds"
+    )
 
     def __init__(self, entries, parents, letters, labels):
         self.entries = entries
@@ -285,6 +292,18 @@ class Ball(Sequence):
         self.letters = letters
         self._labels = labels
         self._words = [None] * len(entries)
+        self._kinds = {}
+
+    def trace_kinds(self, tol_trace):
+        """_trace_kinds of the entries, as a read-only array made on the
+        first call for each tolerance."""
+        kinds = self._kinds.get(tol_trace)
+        if kinds is None:
+            kinds = self._kinds[tol_trace] = _trace_kinds(
+                self.entries, tol_trace
+            )
+            kinds.flags.writeable = False
+        return kinds
 
     def __len__(self):
         return len(self._words)
@@ -355,6 +374,8 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     prefixes: a word that merges with an earlier one (or with the identity)
     is dropped and never extended.  The result is a Ball: the entries of
     the words as one array, with each word's prefix row and last letter.
+    A product that MoebiusIsometry cannot normalize, or whose entries
+    overflow to a value that is not finite, raises NearSingular.
     """
     n_letters = 2 * group.rank
     letter_rows = np.array(
@@ -382,17 +403,19 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
         parent_of, letter_of = np.nonzero(allowed)
         rows = np.empty((len(parent_of), 4), dtype=complex)
         filled, error = 0, None
-        for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
-            stop = start + _LEVEL_CHUNK
-            chunk, error = canonical_rows(
-                product_rows(frontier_rows[start:stop], letter_rows)[
-                    allowed[start:stop]
-                ]
-            )
-            rows[filled:filled + len(chunk)] = chunk
-            filled += len(chunk)
-            if error is not None:
-                break
+        # an overflowing product is reported as NearSingular
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
+                stop = start + _LEVEL_CHUNK
+                chunk, error = canonical_rows(
+                    product_rows(frontier_rows[start:stop], letter_rows)[
+                        allowed[start:stop]
+                    ]
+                )
+                rows[filled:filled + len(chunk)] = chunk
+                filled += len(chunk)
+                if error is not None:
+                    break
         kept = seen.add_rows(rows[:filled])
         # the candidates go before the next level's are built
         del rows
@@ -449,7 +472,7 @@ def _trace_kinds(entries, tol_trace):
     parabolic = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
     imag = np.abs(t.imag)
     real = np.abs(t.real)
-    kinds = np.full(len(entries), _UNDECIDED)
+    kinds = np.full(len(entries), _UNDECIDED, dtype=np.int8)
     undecided = np.isfinite(entries).all(axis=1)
     for q, threshold, passed, kind in (
         (identity, tol_trace, identity <= tol_trace, _IDENTITY),
@@ -470,36 +493,107 @@ def _cosh_half_length(t):
     return (np.abs(z - 1.0) + np.abs(z + 1.0)) / 2.0
 
 
-def _keeps_plane(entries, circle, tol):
-    """Rows that surely pass preserves_circle(w, circle, tol).
+def _inverse_parts(entries):
+    """Coordinates of MoebiusIsometry.inverse() for canonical rows, bit
+    for bit up to the sign of zeros, and whether each row was formed.
 
-    The form N^* H N, N = w^-1, is built as transform_circle builds it.
-    Its entries sum terms up to M^2 |H| (M the largest entry of w, |H| of
-    the form), and normalizing by |B|^2 - A C multiplies their roundoff by
-    up to 1 + 2 |H|^2.  A row passes when its deviation stays below tol by
-    64 eps M^2 |H| (1 + 2 |H|^2), over twice what either computation can
-    be off by.
+    The result is an (8, N) array of Re a, Im a, ..., Im d.  A row whose
+    |det - 1| lies below TOL_DET by more than _MARGIN (|Re| + |Im| bounds
+    the hypot) and whose trace has a part beyond SIGN_TOL keeps (d, -b,
+    -c, a): the constructor neither rescales it nor changes its sign, and
+    its 1.0 * z can change only the sign of a zero.  The other rows go
+    through canonical_rows; from a row on which that raises, no row is
+    formed.
+    """
+    parts = entries.view(np.float64).T[[6, 7, 2, 3, 4, 5, 0, 1]]
+    np.negative(parts[2:6], out=parts[2:6])
+    ar, ai, br, bi, cr, ci, dr, di = parts
+    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+    with np.errstate(invalid="ignore"):
+        plain = (
+            np.abs(det_re - 1.0) + np.abs(det_im) < TOL_DET * (1.0 - _MARGIN)
+        ) & ((np.abs(ar + dr) > SIGN_TOL) | (np.abs(ai + di) > SIGN_TOL))
+    formed = np.ones(len(entries), dtype=bool)
+    rest = np.flatnonzero(~plain)
+    if rest.size:
+        rows, _ = canonical_rows(parts[:, rest].T.copy().view(complex))
+        parts[:, rest[:len(rows)]] = rows.view(np.float64).T
+        formed[rest[len(rows):]] = False
+    return parts, formed
+
+
+def _plane_screen(entries, circle, tol):
+    """Rows that surely pass and rows that surely fail
+    preserves_circle(w, circle, tol), as two boolean arrays.
+
+    numpy repeats transform_circle and same_oriented_circle operation for
+    operation: the inverse rows, each complex product as CPython forms it
+    (a product by a conjugate up to the sign of a zero), BoundaryCircle's
+    k = |nb|^2 - na nd and 1 / sqrt(k), and the deviation from the signed
+    triple (A, B, C).  The two can differ only where a hypot or a square
+    rounds otherwise, by at most slack_k = 8 eps (|nb|^2 + |na nd|) in k.
+    For slack_k <= k / 2, 1 / sqrt(k) then moves the deviation by less
+    than its slack (slack_k / k + 8 eps) (deviation + max(|A|, |B|, |C|))
+    + 4 eps deviation: a few eps times max(|A|, |B|, |C|) for a row near
+    the threshold, whatever the size of its entries.  A row is left to the
+    scalar test when its deviation lies within the slack of tol, when k
+    does not exceed 1e-14 by 2 slack_k, so that DegeneratePoints is still
+    raised, and when its inverse is not formed.
     """
     A, B, C = circle.signed_triple()
-    a, b, c, d = entries.T
-    na, nb, nc, nd = d, -b, -c, a
-    h00 = A * na + B * nc
-    h01 = A * nb + B * nd
-    h10 = B.conjugate() * na + C * nc
-    h11 = B.conjugate() * nb + C * nd
-    pa = (na.conj() * h00 + nc.conj() * h10).real
-    pb = na.conj() * h01 + nc.conj() * h11
-    pd = (nb.conj() * h01 + nd.conj() * h11).real
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = 1.0 / np.sqrt(np.abs(pb) ** 2 - pa * pd)
-    deviation = np.maximum(
-        np.maximum(np.abs(pa * scale - A), np.abs(pb * scale - B)),
-        np.abs(pd * scale - C),
+    parts, formed = _inverse_parts(entries)
+    # (Re, Im) of the rows (na, nb) and (nc, nd) of N = w^-1, as (2, N)
+    # views: one operation serves both columns
+    top, bottom = (parts[0:4:2], parts[1:4:2]), (parts[4:8:2], parts[5:8:2])
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    def conj_real(x, y):
+        # Re(conj(x) * y)
+        return x[0] * y[0] + x[1] * y[1]
+
+    def conj_times(x, y):
+        return conj_real(x, y), x[0] * y[1] - x[1] * y[0]
+
+    def column(x, j):
+        return x[0][j], x[1][j]
+
+    # the rows (h00, h01) and (h10, h11) of H N, H = [[A, B], [conj B, C]],
+    # then the diagonal (na, nd) and the corner nb of N^* H N, each formed
+    # as transform_circle forms it
+    h0 = add(real_product(A, *top), complex_product(B.real, B.imag, *bottom))
+    h1 = add(complex_product(B.real, -B.imag, *top), real_product(C, *bottom))
+    pa, pd = conj_real(top, h0) + conj_real(bottom, h1)
+    pb = add(
+        conj_times(column(top, 0), column(h0, 1)),
+        conj_times(column(bottom, 0), column(h1, 1)),
     )
-    size = max(abs(A), abs(B), abs(C))
-    big = np.abs(entries).max(axis=1)
-    slack = 64 * _EPS * big**2 * size * (1.0 + 2.0 * size**2)
-    return deviation + slack <= tol
+    # N and H N go before the per-row scalars are formed
+    del parts, top, bottom, h0, h1
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        square = np.hypot(*pb) ** 2
+        product = pa * pd
+        k = square - product
+        slack_k = 8.0 * _EPS * (square + np.abs(product))
+        scale = 1.0 / np.sqrt(k)
+        image_b = real_product(scale, *pb)
+        deviation = np.maximum(
+            np.maximum(
+                np.abs(pa * scale - A),
+                np.hypot(image_b[0] - B.real, image_b[1] - B.imag),
+            ),
+            np.abs(pd * scale - C),
+        )
+        slack = (slack_k / k + 8.0 * _EPS) * (
+            deviation + max(abs(A), abs(B), abs(C))
+        ) + 4.0 * _EPS * deviation
+        formed &= k - 2.0 * slack_k > 1e-14
+        return (
+            formed & (deviation + slack <= tol),
+            formed & (deviation - slack > tol),
+        )
 
 
 class SpectrumEntry:
@@ -568,7 +662,7 @@ def geodesics(
     then angle, then shortlex word, and each is yielded as soon as no
     unread word can precede it.
 
-    Rows that _trace_kinds calls identity or parabolic are dropped.  Every
+    Rows that ball.trace_kinds calls identity or parabolic are dropped.  Every
     other row gets the key x = cosh(l / 2) of its trace, projected onto the
     real axis where |Im tr| <= tol_trace as complex_length projects it, so
     the key and the cosh of complex_length's l differ by a few ulps times
@@ -583,7 +677,7 @@ def geodesics(
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
-    kinds = _trace_kinds(entries, tol_trace)
+    kinds = ball.trace_kinds(tol_trace)
     rows = np.flatnonzero((kinds != _IDENTITY) & (kinds != _PARABOLIC))
     t = entries[rows, 0] + entries[rows, 3]
     x = _cosh_half_length(np.where(np.abs(t.imag) <= tol_trace, t.real, t))
@@ -671,7 +765,7 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
-    kinds = _trace_kinds(entries, tol_trace)
+    kinds = ball.trace_kinds(tol_trace)
     scan = kinds == _UNDECIDED
     screws = np.flatnonzero(kinds == _SCREW)
     if screws.size:
@@ -739,15 +833,19 @@ def fuchsian_test(
     "elementary" when the ball has no two hyperbolic elements with four
     distinct endpoints to span a plane.  ball, when given, must be an
     enumerate_ball result; words are built only for the pair spanning the
-    plane and for a witness.
+    plane and for a witness.  _plane_screen decides the plane test of
+    every row it can; preserves_circle runs on the rest, in ball order, up
+    to the first row the screen shows to move the plane.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
-    kinds = _trace_kinds(entries, tol_trace)
+    kinds = ball.trace_kinds(tol_trace)
     screws = np.flatnonzero(kinds == _SCREW)
     stop = int(screws[0]) if screws.size else len(ball)
-    for i in np.flatnonzero(kinds[:stop] == _UNDECIDED).tolist():
+    # the memoised screen is read-only: copy the part filled in below
+    kinds = kinds[:stop].copy()
+    for i in np.flatnonzero(kinds == _UNDECIDED).tolist():
         kind = classify(_row_matrix(entries, i), tol_trace).kind
         if kind == "screw":
             return FuchsianResult("screw_found", witness=ball[i])
@@ -782,9 +880,14 @@ def fuchsian_test(
         plane = invariant_plane(u.matrix, v.matrix, tol_trace, tol)
     except (ScrewInput, PlaneVerificationFailed):
         return FuchsianResult("plane_failed")
-    for i in np.flatnonzero(~_keeps_plane(entries, plane, tol)).tolist():
+    keeps, moves = _plane_screen(entries, plane, tol)
+    moved = np.flatnonzero(moves)
+    stop = int(moved[0]) if moved.size else len(ball)
+    for i in np.flatnonzero(~keeps[:stop]).tolist():
         if not preserves_circle(_row_matrix(entries, i), plane, tol):
             return FuchsianResult("plane_failed", witness=ball[i])
+    if stop < len(ball):
+        return FuchsianResult("plane_failed", witness=ball[stop])
     return FuchsianResult("all_non_screw_with_plane", plane=plane)
 
 
@@ -881,17 +984,16 @@ class ThricePuncturedSphereEvidence:
 def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None):
     """Evidence that a rank-2 group is the standard doubly-cusped plane group.
 
-    Requires every ball word to keep one oriented plane, plus a generator
-    pair (up to inversion) where both motions and their product are all
-    parabolic.  Returns None when any ingredient is missing.
+    Requires a generator pair (up to inversion) where both motions and
+    their product are all parabolic, plus every ball word to keep one
+    oriented plane.  Returns None when any ingredient is missing; the pair
+    is sought first, so a group without one is never scanned.
     """
-    if group.rank != 2:
+    pair = parabolic_generator_pair(group, tol_trace)
+    if pair is None:
         return None
     result = fuchsian_test(group, max_word_len, tol_trace, ball=ball)
     if result.verdict != "all_non_screw_with_plane":
-        return None
-    pair = parabolic_generator_pair(group, tol_trace)
-    if pair is None:
         return None
     return ThricePuncturedSphereEvidence(pair[0], pair[1], result.plane)
 

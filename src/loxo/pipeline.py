@@ -32,6 +32,7 @@ from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
     EXIT_OK,
+    AmbiguousClass,
     DegeneratePoints,
     DuplicateLabel,
     IdentityGenerator,
@@ -223,7 +224,11 @@ def _certify_first_simple(group, entries, config, ball):
 
 
 def classify_manifold(group, config=None):
-    """Run the trichotomy on a generating set and report with evidence."""
+    """Run the trichotomy on a generating set and report with evidence.
+
+    A ball kernel that meets a trace in the band where classify raises
+    AmbiguousClass ends the search with an Inconclusive naming the stage.
+    """
     if config is None:
         config = RunConfig()
     warnings = jorgensen_warnings(group, config.tol_trace)
@@ -244,10 +249,25 @@ def classify_manifold(group, config=None):
                 % (config.max_word_len, exc)
             )
         )
+    stage = ["plane test"]
+    try:
+        verdict = _verdict_from_ball(group, config, elem, ball, stage)
+    except AmbiguousClass as exc:
+        verdict = Inconclusive(
+            "%s up to length %d failed: AmbiguousClass: %s"
+            % (stage[0], config.max_word_len, exc)
+        )
+    return report(verdict)
+
+
+def _verdict_from_ball(group, config, elem, ball, stage):
+    """classify_manifold's verdict for a non-elementary ball; stage[0]
+    names the kernel running, for a report of what it raises."""
 
     def entries_of(*kinds):
         # the stream is read only on the branches that need it, and only
         # up to the first geodesic that certifies
+        stage[0] = "geodesic stream"
         entries = geodesics(
             group,
             config.max_word_len,
@@ -265,12 +285,10 @@ def classify_manifold(group, config=None):
         )
         found = _certify_first_simple(group, on_axis, config, ball)
         if found is not None:
-            return report(found)
-        return report(
-            Inconclusive(
-                "two limit points, but no loxodromic word below the length "
-                "cutoff certifies as simple"
-            )
+            return found
+        return Inconclusive(
+            "two limit points, but no loxodromic word below the length "
+            "cutoff certifies as simple"
         )
 
     fuch = fuchsian_test(
@@ -280,31 +298,26 @@ def classify_manifold(group, config=None):
     if fuch.verdict == "all_non_screw_with_plane":
         pair = parabolic_generator_pair(group, config.tol_trace)
         if pair is not None:
-            return report(
-                ThricePuncturedSphereEvidence(pair[0], pair[1], fuch.plane)
-            )
+            return ThricePuncturedSphereEvidence(pair[0], pair[1], fuch.plane)
         hyperbolic = entries_of("hyperbolic")
         first = next(hyperbolic, None)
         if first is None:
-            return report(
-                Inconclusive(
-                    "ball preserves a plane but contains no hyperbolic word "
-                    "below the length cutoff"
-                )
+            return Inconclusive(
+                "ball preserves a plane but contains no hyperbolic word "
+                "below the length cutoff"
             )
         found = _certify_first_simple(
             group, itertools.chain((first,), hyperbolic), config, ball
         )
         if found is not None:
-            return report(found)
-        return report(
-            Inconclusive(
-                "every plane-preserving hyperbolic word up to the bound "
-                "self-intersects"
-            )
+            return found
+        return Inconclusive(
+            "every plane-preserving hyperbolic word up to the bound "
+            "self-intersects"
         )
 
     if fuch.verdict == "screw_found":
+        stage[0] = "shortest screw search"
         entry = shortest_screw(
             group, config.max_word_len, config.tol_trace, ball=ball
         )
@@ -312,21 +325,17 @@ def classify_manifold(group, config=None):
             entry = _entry_from_word(fuch.witness, config.tol_trace)
         found = _certify_first_simple(group, [entry], config, ball)
         if found is not None:
-            return report(found)
-        return report(
-            Inconclusive(
-                "shortest screw word %s self-intersects within the bound"
-                % entry.word.name
-            )
+            return found
+        return Inconclusive(
+            "shortest screw word %s self-intersects within the bound"
+            % entry.word.name
         )
 
     if fuch.verdict == "plane_failed":
         witness = fuch.witness.name if fuch.witness else "the chosen pair"
-        return report(
-            Inconclusive(
-                "no screw word up to the bound, yet %s moves the candidate "
-                "plane" % witness
-            )
+        return Inconclusive(
+            "no screw word up to the bound, yet %s moves the candidate "
+            "plane" % witness
         )
 
     # fuchsian fallback: no two hyperbolic words with distinct endpoints
@@ -334,12 +343,10 @@ def classify_manifold(group, config=None):
         group, entries_of("hyperbolic"), config, ball
     )
     if found is not None:
-        return report(found)
-    return report(
-        Inconclusive(
-            "generators pass the non-elementary test but the ball shows "
-            "no certifiable loxodromic geodesic"
-        )
+        return found
+    return Inconclusive(
+        "generators pass the non-elementary test but the ball shows "
+        "no certifiable loxodromic geodesic"
     )
 
 

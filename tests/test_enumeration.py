@@ -28,12 +28,15 @@ from loxo.errors import (
     ScrewInput,
 )
 from loxo.geometry import (
+    PLANE_TOL,
+    BoundaryCircle,
     axis_of,
     circle_through,
     halfturn_matrix,
     preserves_circle,
     same_circle,
     same_line,
+    transform_circle,
 )
 from loxo.halfturn import invariant_plane
 from loxo.isometry import (
@@ -342,6 +345,16 @@ def test_ball_near_singular_product_raises():
     assert str(info.value) == "determinant 0j too close to zero"
 
 
+def test_ball_non_finite_product_raises():
+    # entries of 1e100 overflow to inf and nan in products of length 4
+    group = GroupPresentation(
+        [MoebiusIsometry(1e100, 0, 0, 1e-100), MoebiusIsometry(1, 1e100, 0, 1)]
+    )
+    assert np.isfinite(enumerate_ball(group, 3).entries).all()
+    with pytest.raises(NearSingular, match="not finite"):
+        enumerate_ball(group, 4)
+
+
 def test_ball_budget():
     group = presentation(THRICE_PUNCTURED)
     with pytest.raises(BudgetExceeded):
@@ -627,6 +640,17 @@ def test_geodesics_keep_lengths_equal_to_the_cutoff():
 # _trace_kinds
 
 
+def test_ball_trace_kinds_are_screened_once_and_read_only():
+    ball = enumerate_ball(presentation(FIGURE_EIGHT), 4)
+    kinds = ball.trace_kinds(TOL_TRACE)
+    assert ball.trace_kinds(TOL_TRACE) is kinds
+    assert kinds.dtype == np.int8
+    assert not kinds.flags.writeable
+    expected = loxo.enumeration._trace_kinds(ball.entries, TOL_TRACE)
+    assert kinds.tolist() == expected.tolist()
+    assert ball.trace_kinds(1e-6) is not kinds
+
+
 @pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
 def test_trace_kinds_agree_with_classify(group):
     entries = enumerate_ball(group, 6).entries
@@ -812,6 +836,106 @@ def test_fuchsian_test_matches_scalar_reference(group):
 
 
 # ---------------------------------------------------------------------------
+# _plane_screen
+
+
+def screen_circles(group, length, ball):
+    """The plane fuchsian_test finds, when there is one, the same plane
+    nudged so that deviations straddle PLANE_TOL, and a generic circle."""
+    circles = [
+        circle_through(*(
+            BoundaryPoint.from_complex(z) for z in (0.3 + 0.1j, -1.2 + 0.4j, 0.5 - 2j)
+        ))
+    ]
+    plane = fuchsian_test(group, length, ball=ball).plane
+    if plane is not None:
+        circles.append(plane)
+        for nudge in (1e-9, 1e-10):
+            circles.append(BoundaryCircle(
+                plane.a + nudge, plane.b, plane.c - nudge, plane.orientation
+            ))
+    return plane, circles
+
+
+def assert_screen_agrees(group, length):
+    ball = enumerate_ball(group, length)
+    plane, circles = screen_circles(group, length, ball)
+    for circle in circles:
+        keeps, moves = loxo.enumeration._plane_screen(
+            ball.entries, circle, PLANE_TOL
+        )
+        assert not (keeps & moves).any()
+        for i in np.flatnonzero(keeps | moves).tolist():
+            m = bare_isometry(ball.entries[i])
+            assert preserves_circle(m, circle, PLANE_TOL) == keeps[i]
+        if circle is plane:
+            assert keeps.all()
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
+def test_plane_screen_agrees_with_preserves_circle(group):
+    assert_screen_agrees(group, 6)
+
+
+@pytest.mark.parametrize("name", ["funnel", "torus"])
+def test_plane_screen_agrees_with_preserves_circle_deep(name):
+    assert_screen_agrees(dict(reference_groups())[name], 8)
+
+
+def scalar_deviation(m, circle):
+    """The quantity preserves_circle compares with its tolerance."""
+    image = transform_circle(m, circle).signed_triple()
+    return max(abs(x - y) for x, y in zip(image, circle.signed_triple()))
+
+
+def test_plane_screen_leaves_a_row_at_the_threshold_to_the_scalar_test():
+    group = dict(float_groups())["thrice_punctured conjugate"]
+    ball = enumerate_ball(group, 6)
+    plane = fuchsian_test(group, 6, ball=ball).plane
+    circle = BoundaryCircle(plane.a + 1e-10, plane.b, plane.c, plane.orientation)
+    for i in range(0, len(ball), 97):
+        m = bare_isometry(ball.entries[i])
+        tol = scalar_deviation(m, circle)
+        assert preserves_circle(m, circle, tol)
+        assert not preserves_circle(m, circle, float(np.nextafter(tol, 0.0)))
+        keeps, moves = loxo.enumeration._plane_screen(ball.entries, circle, tol)
+        assert not keeps[i] and not moves[i]
+
+
+@pytest.fixture
+def scalar_plane_tests(monkeypatch):
+    """Count the calls of preserves_circle from loxo.enumeration."""
+    calls = []
+
+    def counted(m, circle, tol):
+        calls.append(m)
+        return preserves_circle(m, circle, tol)
+
+    monkeypatch.setattr(loxo.enumeration, "preserves_circle", counted)
+    return calls
+
+
+def test_fuchsian_test_deep_ball_needs_no_scalar_plane_test(scalar_plane_tests):
+    # entries reach 3,409 at this length; the screen's slack does not grow
+    # with them
+    group = dict(reference_groups())["funnel"]
+    result = fuchsian_test(group, 8)
+    assert result.verdict == "all_non_screw_with_plane"
+    assert scalar_plane_tests == []
+
+
+def test_fuchsian_test_keeps_the_witness_of_a_moved_plane(scalar_plane_tests):
+    # <[[19,2],[9,1]], [[1,0],[3,1]]>: a a a a moves the plane of a and a b
+    group = GroupPresentation(
+        [MoebiusIsometry(19, 2, 9, 1), MoebiusIsometry(1, 0, 3, 1)]
+    )
+    result = fuchsian_test(group, 6)
+    assert result.verdict == "plane_failed"
+    assert result.witness.name == "a a a a"
+    assert len(scalar_plane_tests) <= 1
+
+
+# ---------------------------------------------------------------------------
 # elementary_test
 
 
@@ -952,6 +1076,16 @@ def test_thrice_punctured_needs_parabolic_pair():
         ]
     )
     assert thrice_punctured_test(group, max_word_len=3) is None
+
+
+@pytest.mark.parametrize("name", ["figure_eight", "funnel", "torus"])
+def test_thrice_punctured_seeks_the_pair_before_scanning(monkeypatch, name):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("ball scanned for a group without a parabolic pair")
+
+    monkeypatch.setattr(loxo.enumeration, "fuchsian_test", no_scan)
+    group = dict(reference_groups())[name]
+    assert thrice_punctured_test(group, 6) is None
 
 
 def test_jorgensen_quiet_on_fixture():

@@ -387,6 +387,23 @@ def test_verdicts_without_spectrum(monkeypatch):
         assert classify_manifold(group, config).verdict.kind == kind
 
 
+def test_verdicts_screen_trace_kinds_once(monkeypatch):
+    # fuchsian_test, shortest_screw and geodesics read the ball's one screen
+    calls = []
+    screen = loxo.enumeration._trace_kinds
+
+    def counted(entries, tol_trace):
+        calls.append(tol_trace)
+        return screen(entries, tol_trace)
+
+    monkeypatch.setattr(loxo.enumeration, "_trace_kinds", counted)
+    for _, group in reference_groups():
+        del calls[:]
+        report = classify_manifold(group, RunConfig(max_word_len=6))
+        elementary = report.verdict.kind == "Elementary"
+        assert len(calls) == (0 if elementary else 1)
+
+
 def test_verdicts_stop_at_the_first_certified_geodesic(monkeypatch):
     # funnel and torus certify the first geodesic of the stream, so no
     # candidate after it is tested against the translates of a kept one
@@ -413,6 +430,45 @@ def test_singular_ball_product_is_inconclusive():
         assert verdict.kind == "Inconclusive"
         assert "up to length %d" % length in verdict.reason
         assert "NearSingular" in verdict.reason
+
+
+# a thrice_punctured conjugate whose length-9 ball holds a word with real
+# trace between the elliptic and parabolic bands, where classify raises
+AMBIGUOUS_GROUP = (
+    (
+        (1.989319748322289 - 5.5290098822471805j),
+        (2.68438787963553 + 2.839137364493291j),
+        (7.237622895049871 - 3.5794708857053683j),
+        (0.010680251677711361 + 5.529009882247181j),
+    ),
+    (
+        (-2.7488996512306665 - 5.694820025373096j),
+        (6.4562319246045705 + 0.7679512851804888j),
+        (2.0309559394142296 - 6.855127472889543j),
+        (4.748899651230666 + 5.694820025373096j),
+    ),
+)
+# products of length 4 overflow to entries that are not finite
+OVERFLOW_GROUP = ((1e100, 0, 0, 1e-100), (1, 1e100, 0, 1))
+
+
+def test_ambiguous_trace_is_inconclusive():
+    group = GroupPresentation([MoebiusIsometry(*m) for m in AMBIGUOUS_GROUP])
+    report = classify_manifold(group, RunConfig(max_word_len=9))
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    assert report.verdict.reason.startswith(
+        "shortest screw search up to length 9 failed: AmbiguousClass: "
+        "real trace"
+    )
+
+
+def test_overflowing_ball_is_inconclusive():
+    group = GroupPresentation([MoebiusIsometry(*m) for m in OVERFLOW_GROUP])
+    report = classify_manifold(group, RunConfig(max_word_len=4))
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    assert report.verdict.reason.startswith(
+        "word ball up to length 4 failed: NearSingular: entries"
+    )
 
 
 def test_inconclusive_requires_reason():
@@ -850,3 +906,53 @@ def test_cli_singular_ball_product_exits_inconclusive(tmp_path, capsys):
     )
     assert code == EXIT_INCONCLUSIVE
     assert "NearSingular" in json.loads(out)["reason"]
+
+
+def write_raw_group(path, generators):
+    # entries as given: the loader, not MoebiusIsometry, normalizes them
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [
+                    {
+                        "label": label,
+                        "matrix": [
+                            [[complex(z).real, complex(z).imag] for z in row]
+                            for row in (m[:2], m[2:])
+                        ],
+                    }
+                    for label, m in zip("ab", generators)
+                ]
+            }
+        ),
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize(
+    "generators, length, stage",
+    [
+        (AMBIGUOUS_GROUP, "9", "shortest screw search"),
+        (OVERFLOW_GROUP, "4", "word ball"),
+    ],
+    ids=["ambiguous_trace", "overflow"],
+)
+def test_cli_kernel_failures_exit_inconclusive(
+    tmp_path, capsys, generators, length, stage
+):
+    path = tmp_path / "group.json"
+    write_raw_group(path, generators)
+    code, out, err = run_cli(
+        capsys,
+        "classify-manifold",
+        str(path),
+        "--max-word-len",
+        length,
+        "--format",
+        "json",
+    )
+    assert code == EXIT_INCONCLUSIVE
+    data = json.loads(out)
+    assert data["verdict"] == "Inconclusive"
+    assert data["reason"].startswith(stage + " up to length " + length)
+    assert err == ""
