@@ -10,48 +10,40 @@ tolerance's reach, so equal elements are never split by rounding.
 The ball keeps its words' entries as one (N, 4) complex array, built a level
 at a time in numpy, with each word's prefix row and last letter; a word
 object is built only when it is read.  The surveys built on the ball (the
-length spectrum, the shortest screw motion, and group-level tests for
-preserved planes and elementary behavior) screen that array in one pass,
-run the scalar tests on the matrices of the rows the screen cannot decide,
-and build words only for what they return.
+length spectrum and the shortest screw motion) screen that array in one
+pass, run the scalar tests on the matrices of the rows the screen cannot
+decide, and build words only for what they return.  The preserved-plane
+test decides screws from the traces of the generator products, not from
+the ball, and reads the ball only for a hyperbolic pair to span the plane.
 """
 
 import heapq
+import itertools
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    EXIT_OK,
-    BudgetExceeded,
-    PlaneVerificationFailed,
-    ScrewInput,
-)
+from .errors import EXIT_OK, BudgetExceeded
 from .geometry import (
     PLANE_TOL,
     axis_of,
     circle_json,
     geodesic_separation,
     halfturn_matrix,
-    preserves_circle,
     same_line,
     transform_line,
 )
 from .halfturn import invariant_plane
 from .isometry import (
     _MARGIN,
-    SIGN_TOL,
-    TOL_DET,
     TOL_TRACE,
     MoebiusIsometry,
     canonical_rows,
     classify,
     complex_length,
-    complex_product,
     fixed_points,
     product_rows,
-    real_product,
     same_point,
 )
 
@@ -493,109 +485,6 @@ def _cosh_half_length(t):
     return (np.abs(z - 1.0) + np.abs(z + 1.0)) / 2.0
 
 
-def _inverse_parts(entries):
-    """Coordinates of MoebiusIsometry.inverse() for canonical rows, bit
-    for bit up to the sign of zeros, and whether each row was formed.
-
-    The result is an (8, N) array of Re a, Im a, ..., Im d.  A row whose
-    |det - 1| lies below TOL_DET by more than _MARGIN (|Re| + |Im| bounds
-    the hypot) and whose trace has a part beyond SIGN_TOL keeps (d, -b,
-    -c, a): the constructor neither rescales it nor changes its sign, and
-    its 1.0 * z can change only the sign of a zero.  The other rows go
-    through canonical_rows; from a row on which that raises, no row is
-    formed.
-    """
-    parts = entries.view(np.float64).T[[6, 7, 2, 3, 4, 5, 0, 1]]
-    np.negative(parts[2:6], out=parts[2:6])
-    ar, ai, br, bi, cr, ci, dr, di = parts
-    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
-    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
-    with np.errstate(invalid="ignore"):
-        plain = (
-            np.abs(det_re - 1.0) + np.abs(det_im) < TOL_DET * (1.0 - _MARGIN)
-        ) & ((np.abs(ar + dr) > SIGN_TOL) | (np.abs(ai + di) > SIGN_TOL))
-    formed = np.ones(len(entries), dtype=bool)
-    rest = np.flatnonzero(~plain)
-    if rest.size:
-        rows, _ = canonical_rows(parts[:, rest].T.copy().view(complex))
-        parts[:, rest[:len(rows)]] = rows.view(np.float64).T
-        formed[rest[len(rows):]] = False
-    return parts, formed
-
-
-def _plane_screen(entries, circle, tol):
-    """Rows that surely pass and rows that surely fail
-    preserves_circle(w, circle, tol), as two boolean arrays.
-
-    numpy repeats transform_circle and same_oriented_circle operation for
-    operation: the inverse rows, each complex product as CPython forms it
-    (a product by a conjugate up to the sign of a zero), BoundaryCircle's
-    k = |nb|^2 - na nd and 1 / sqrt(k), and the deviation from the signed
-    triple (A, B, C).  The two can differ only where a hypot or a square
-    rounds otherwise, by at most slack_k = 8 eps (|nb|^2 + |na nd|) in k.
-    For slack_k <= k / 2, 1 / sqrt(k) then moves the deviation by less
-    than its slack (slack_k / k + 8 eps) (deviation + max(|A|, |B|, |C|))
-    + 4 eps deviation: a few eps times max(|A|, |B|, |C|) for a row near
-    the threshold, whatever the size of its entries.  A row is left to the
-    scalar test when its deviation lies within the slack of tol, when k
-    does not exceed 1e-14 by 2 slack_k, so that DegeneratePoints is still
-    raised, and when its inverse is not formed.
-    """
-    A, B, C = circle.signed_triple()
-    parts, formed = _inverse_parts(entries)
-    # (Re, Im) of the rows (na, nb) and (nc, nd) of N = w^-1, as (2, N)
-    # views: one operation serves both columns
-    top, bottom = (parts[0:4:2], parts[1:4:2]), (parts[4:8:2], parts[5:8:2])
-
-    def add(x, y):
-        return x[0] + y[0], x[1] + y[1]
-
-    def conj_real(x, y):
-        # Re(conj(x) * y)
-        return x[0] * y[0] + x[1] * y[1]
-
-    def conj_times(x, y):
-        return conj_real(x, y), x[0] * y[1] - x[1] * y[0]
-
-    def column(x, j):
-        return x[0][j], x[1][j]
-
-    # the rows (h00, h01) and (h10, h11) of H N, H = [[A, B], [conj B, C]],
-    # then the diagonal (na, nd) and the corner nb of N^* H N, each formed
-    # as transform_circle forms it
-    h0 = add(real_product(A, *top), complex_product(B.real, B.imag, *bottom))
-    h1 = add(complex_product(B.real, -B.imag, *top), real_product(C, *bottom))
-    pa, pd = conj_real(top, h0) + conj_real(bottom, h1)
-    pb = add(
-        conj_times(column(top, 0), column(h0, 1)),
-        conj_times(column(bottom, 0), column(h1, 1)),
-    )
-    # N and H N go before the per-row scalars are formed
-    del parts, top, bottom, h0, h1
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        square = np.hypot(*pb) ** 2
-        product = pa * pd
-        k = square - product
-        slack_k = 8.0 * _EPS * (square + np.abs(product))
-        scale = 1.0 / np.sqrt(k)
-        image_b = real_product(scale, *pb)
-        deviation = np.maximum(
-            np.maximum(
-                np.abs(pa * scale - A),
-                np.hypot(image_b[0] - B.real, image_b[1] - B.imag),
-            ),
-            np.abs(pd * scale - C),
-        )
-        slack = (slack_k / k + 8.0 * _EPS) * (
-            deviation + max(abs(A), abs(B), abs(C))
-        ) + 4.0 * _EPS * deviation
-        formed &= k - 2.0 * slack_k > 1e-14
-        return (
-            formed & (deviation + slack <= tol),
-            formed & (deviation - slack > tol),
-        )
-
-
 class SpectrumEntry:
     """One closed geodesic: its shortest spelling, class, and axis."""
 
@@ -812,11 +701,33 @@ class FuchsianResult:
         )
 
 
-def _concatenated(group, first, second):
-    letters = first.letters + second.letters
-    return GroupWord(
-        letters, group.word_name(letters), first.matrix * second.matrix
-    )
+def _character_screw(group, tol_trace):
+    """Letters of the first generator product with a non-real trace, or None.
+
+    The products a_i1 ... a_ik, i1 < ... < ik, are taken by size, then in
+    lexicographic order.  Every word trace is an integer polynomial in
+    their traces (R. Horowitz, Comm. Pure Appl. Math. 25, 1972), and the
+    traces of products of four or more are polynomials in those of at most
+    three (2 tr abcd is one in tr a, ..., tr abc, tr acd, ...), so only
+    those are formed.  The first non-real product is therefore the
+    shortlex-first word with a non-real trace of any ball that holds it.
+    A trace is non-real when |Im t| exceeds tol_trace plus the roundoff of
+    the product, 8 k eps times the product of the sums of |entries|.
+    """
+    generators = [(g.a, g.b, g.c, g.d) for g in group.generators]
+    sizes = [sum(map(abs, g)) for g in generators]
+    for k in range(1, min(group.rank, 3) + 1):
+        for subset in itertools.combinations(range(group.rank), k):
+            a, b, c, d = generators[subset[0]]
+            size = sizes[subset[0]]
+            for i in subset[1:]:
+                p, q, r, s = generators[i]
+                a, b = a * p + b * r, a * q + b * s
+                c, d = c * p + d * r, c * q + d * s
+                size *= sizes[i]
+            if abs((a + d).imag) > tol_trace + 8.0 * k * _EPS * size:
+                return tuple(2 * i for i in subset)
+    return None
 
 
 def fuchsian_test(
@@ -826,69 +737,59 @@ def fuchsian_test(
     tol=PLANE_TOL,
     ball=None,
 ):
-    """Screw search, then a preserved oriented plane for the whole ball.
+    """Screw test on the character, then the plane of a hyperbolic pair.
 
-    Verdicts: "screw_found" (witness word), "all_non_screw_with_plane"
-    (plane circle), "plane_failed" (first word moving the plane), or
-    "elementary" when the ball has no two hyperbolic elements with four
-    distinct endpoints to span a plane.  ball, when given, must be an
-    enumerate_ball result; words are built only for the pair spanning the
-    plane and for a witness.  _plane_screen decides the plane test of
-    every row it can; preserves_circle runs on the rest, in ball order, up
-    to the first row the screen shows to move the plane.
+    Verdicts: "screw_found" when a generator product has a non-real trace
+    (witness: the first such product, see _character_screw, which may be
+    longer than the ball's words), "all_non_screw_with_plane" (plane
+    circle), or "elementary" when the ball has no two hyperbolic elements
+    with four distinct endpoints.  A group with real traces and such a pair
+    is conjugate into PSL(2, R) (B. Maskit, Kleinian Groups, 1988), so it
+    keeps the plane invariant_plane spans with the first such pair in ball
+    order; the ball is read only for that pair, and a row left undecided by
+    the trace screen is classified when the search reaches it.  ball, when
+    given, must be an enumerate_ball result.
     """
+    screw = _character_screw(group, tol_trace)
+    if screw is not None:
+        return FuchsianResult("screw_found", witness=group.word(screw))
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
     kinds = ball.trace_kinds(tol_trace)
-    screws = np.flatnonzero(kinds == _SCREW)
-    stop = int(screws[0]) if screws.size else len(ball)
-    # the memoised screen is read-only: copy the part filled in below
-    kinds = kinds[:stop].copy()
-    for i in np.flatnonzero(kinds == _UNDECIDED).tolist():
-        kind = classify(_row_matrix(entries, i), tol_trace).kind
-        if kind == "screw":
-            return FuchsianResult("screw_found", witness=ball[i])
-        kinds[i] = _KIND_CODES[kind]
-    if stop < len(ball):
-        return FuchsianResult("screw_found", witness=ball[stop])
-    hyperbolic = np.flatnonzero(kinds == _HYPERBOLIC).tolist()
+    axes = {}
 
-    pair = None
-    for n, i in enumerate(hyperbolic):
-        axis_u = axis_of(_row_matrix(entries, i))
-        for j in hyperbolic[n + 1:]:
-            axis_v = axis_of(_row_matrix(entries, j))
-            if any(
+    def axis(i):
+        # the axis of a hyperbolic row, None for any other row
+        if i not in axes:
+            m = _row_matrix(entries, i)
+            hyperbolic = kinds[i] == _HYPERBOLIC or (
+                kinds[i] == _UNDECIDED
+                and classify(m, tol_trace).kind == "hyperbolic"
+            )
+            axes[i] = axis_of(m) if hyperbolic else None
+        return axes[i]
+
+    rows = np.flatnonzero(
+        (kinds == _HYPERBOLIC) | (kinds == _UNDECIDED)
+    ).tolist()
+    for n, i in enumerate(rows):
+        axis_u = axis(i)
+        if axis_u is None:
+            continue
+        for j in rows[n + 1:]:
+            axis_v = axis(j)
+            if axis_v is None or any(
                 same_point(p, q)
                 for p in axis_u.endpoints()
                 for q in axis_v.endpoints()
             ):
                 continue
-            pair = (i, j)
-            break
-        if pair:
-            break
-    if pair is None:
-        return FuchsianResult("elementary")
-
-    u, v = ball[pair[0]], ball[pair[1]]
-    product = _concatenated(group, u, v)
-    if classify(product.matrix, tol_trace).kind == "screw":
-        return FuchsianResult("screw_found", witness=product)
-    try:
-        plane = invariant_plane(u.matrix, v.matrix, tol_trace, tol)
-    except (ScrewInput, PlaneVerificationFailed):
-        return FuchsianResult("plane_failed")
-    keeps, moves = _plane_screen(entries, plane, tol)
-    moved = np.flatnonzero(moves)
-    stop = int(moved[0]) if moved.size else len(ball)
-    for i in np.flatnonzero(~keeps[:stop]).tolist():
-        if not preserves_circle(_row_matrix(entries, i), plane, tol):
-            return FuchsianResult("plane_failed", witness=ball[i])
-    if stop < len(ball):
-        return FuchsianResult("plane_failed", witness=ball[stop])
-    return FuchsianResult("all_non_screw_with_plane", plane=plane)
+            plane = invariant_plane(
+                ball[i].matrix, ball[j].matrix, tol_trace, tol
+            )
+            return FuchsianResult("all_non_screw_with_plane", plane=plane)
+    return FuchsianResult("elementary")
 
 
 class ElementaryResult:
@@ -985,9 +886,10 @@ def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None)
     """Evidence that a rank-2 group is the standard doubly-cusped plane group.
 
     Requires a generator pair (up to inversion) where both motions and
-    their product are all parabolic, plus every ball word to keep one
-    oriented plane.  Returns None when any ingredient is missing; the pair
-    is sought first, so a group without one is never scanned.
+    their product are all parabolic, plus the plane fuchsian_test finds
+    from real generator-product traces.  Returns None when any ingredient
+    is missing; the pair is sought first, so a group without one never
+    reaches fuchsian_test.
     """
     pair = parabolic_generator_pair(group, tol_trace)
     if pair is None:

@@ -215,9 +215,13 @@ def circle_through(p1, p2, p3, tol=CHORDAL_TOL):
     Each point imposes one real linear condition on (A, Re B, Im B, C); the
     kernel of the 3x4 system is the form, fixed to unit normalization.  The
     orientation follows the argument order: the side containing the pullback
-    of i under the map standardizing (p1, p2, p3) gets positive sign.
+    of i under the map standardizing (p1, p2, p3) gets positive sign.  A
+    point that is not finite raises DegeneratePoints.
     """
     pts = (p1, p2, p3)
+    for p in pts:
+        if not (cmath.isfinite(p.z) and cmath.isfinite(p.w)):
+            raise DegeneratePoints("point %r is not finite" % (p,))
     for i in range(3):
         for j in range(i + 1, 3):
             if same_point(pts[i], pts[j], tol):

@@ -182,30 +182,15 @@ _I, _J, _K, _L = (
 )
 
 
-def complex_product(xr, xi, yr, yi):
-    """Real and imaginary parts of (xr + i xi) * (yr + i yi) as CPython's
-    complex product forms them; numpy's own complex multiply may differ in
-    the last bit."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def real_product(x, yr, yi):
-    """Parts of x * (yr + i yi) for a float x, as this interpreter forms
-    them (see _FLOAT_TIMES_COMPLEX_WIDENS)."""
-    if _FLOAT_TIMES_COMPLEX_WIDENS:
-        return complex_product(x, 0.0, yr, yi)
-    return x * yr, x * yi
-
-
 def product_rows(parents, letters):
     """Row (p, l) of p * l for every parent row p and letter row l.
 
     All four entries are formed in one broadcast over (slot, letter,
     parent), so the long parent axis is the inner loop.  Real and imaginary
-    parts are formed as CPython's complex product and sum form them, so
-    each entry equals MoebiusIsometry.__mul__'s before normalization
-    (see complex_product; the sums are written out here so that the real
-    parts are freed before the imaginary parts are formed).
+    parts are formed as CPython's complex product and sum form them
+    (numpy's own complex multiply may differ in the last bit), so each
+    entry equals MoebiusIsometry.__mul__'s before normalization; the real
+    parts are formed, and freed, before the imaginary parts.
     """
     p_re, p_im = parents.real.T, parents.imag.T
     l_re, l_im = letters.real.T[:, :, None], letters.imag.T[:, :, None]

@@ -2,11 +2,12 @@
 
 The trichotomy implemented here: an elementary group is reported as such
 (with its preserved axis geodesic certified when there is one); a group
-whose ball keeps an oriented plane is matched against the doubly-cusped
-plane group and otherwise has its shortest hyperbolic geodesics checked for
-simplicity; a group with a screw word has its shortest screw checked.  Every
-conclusive verdict carries the witnessing word and certificate data;
-anything short of that is an explicit Inconclusive with a reason.
+whose generator products all have real traces keeps an oriented plane, and
+is matched against the doubly-cusped plane group or otherwise has its
+shortest hyperbolic geodesics checked for simplicity; a group with a screw
+word has its shortest screw checked.  Every conclusive verdict carries the
+witnessing word and certificate data; anything short of that is an
+explicit Inconclusive with a reason.
 """
 
 import cmath
@@ -32,10 +33,10 @@ from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
     EXIT_OK,
-    AmbiguousClass,
     DegeneratePoints,
     DuplicateLabel,
     IdentityGenerator,
+    LoxoError,
     NearSingular,
     OutOfRange,
     ParseError,
@@ -226,8 +227,9 @@ def _certify_first_simple(group, entries, config, ball):
 def classify_manifold(group, config=None):
     """Run the trichotomy on a generating set and report with evidence.
 
-    A ball kernel that meets a trace in the band where classify raises
-    AmbiguousClass ends the search with an Inconclusive naming the stage.
+    A library error raised after the ball is built (a trace in the band
+    where classify raises AmbiguousClass, a plane that invariant_plane
+    cannot fit) ends the search with an Inconclusive naming the stage.
     """
     if config is None:
         config = RunConfig()
@@ -252,10 +254,10 @@ def classify_manifold(group, config=None):
     stage = ["plane test"]
     try:
         verdict = _verdict_from_ball(group, config, elem, ball, stage)
-    except AmbiguousClass as exc:
+    except LoxoError as exc:
         verdict = Inconclusive(
-            "%s up to length %d failed: AmbiguousClass: %s"
-            % (stage[0], config.max_word_len, exc)
+            "%s up to length %d failed: %s: %s"
+            % (stage[0], config.max_word_len, type(exc).__name__, exc)
         )
     return report(verdict)
 
@@ -329,13 +331,6 @@ def _verdict_from_ball(group, config, elem, ball, stage):
         return Inconclusive(
             "shortest screw word %s self-intersects within the bound"
             % entry.word.name
-        )
-
-    if fuch.verdict == "plane_failed":
-        witness = fuch.witness.name if fuch.witness else "the chosen pair"
-        return Inconclusive(
-            "no screw word up to the bound, yet %s moves the candidate "
-            "plane" % witness
         )
 
     # fuchsian fallback: no two hyperbolic words with distinct endpoints

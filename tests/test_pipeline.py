@@ -11,6 +11,7 @@ import loxo.pipeline
 from loxo.cli import build_parser, main
 from loxo.enumeration import GroupPresentation
 from loxo.errors import (
+    AmbiguousClass,
     DuplicateLabel,
     IdentityGenerator,
     OutOfRange,
@@ -434,6 +435,7 @@ def test_singular_ball_product_is_inconclusive():
 
 # a thrice_punctured conjugate whose length-9 ball holds a word with real
 # trace between the elliptic and parabolic bands, where classify raises
+# AmbiguousClass; its generator products have real traces
 AMBIGUOUS_GROUP = (
     (
         (1.989319748322289 - 5.5290098822471805j),
@@ -452,13 +454,38 @@ AMBIGUOUS_GROUP = (
 OVERFLOW_GROUP = ((1e100, 0, 0, 1e-100), (1, 1e100, 0, 1))
 
 
-def test_ambiguous_trace_is_inconclusive():
+FUNNEL_GROUP = ((1, 2, 0, 1), (1, 0, 3, 1))
+
+
+@pytest.fixture
+def ambiguous_stream(monkeypatch):
+    """classify in loxo.enumeration raises AmbiguousClass once the geodesic
+    stream starts."""
+    stream = loxo.pipeline.geodesics
+
+    def ambiguous(m, tol_trace):
+        raise AmbiguousClass("real trace %r" % (m.trace,))
+
+    def geodesics(*args, **kwargs):
+        monkeypatch.setattr(loxo.enumeration, "classify", ambiguous)
+        yield from stream(*args, **kwargs)
+
+    monkeypatch.setattr(loxo.pipeline, "geodesics", geodesics)
+
+
+def test_ambiguous_group_gives_thrice_punctured_evidence():
     group = GroupPresentation([MoebiusIsometry(*m) for m in AMBIGUOUS_GROUP])
     report = classify_manifold(group, RunConfig(max_word_len=9))
+    assert report.exit_code == EXIT_OK
+    assert report.verdict.kind == "ThricePuncturedSphereEvidence"
+
+
+def test_ambiguous_trace_is_inconclusive(ambiguous_stream):
+    group = GroupPresentation([MoebiusIsometry(*m) for m in FUNNEL_GROUP])
+    report = classify_manifold(group, RunConfig(max_word_len=4))
     assert report.exit_code == EXIT_INCONCLUSIVE
     assert report.verdict.reason.startswith(
-        "shortest screw search up to length 9 failed: AmbiguousClass: "
-        "real trace"
+        "geodesic stream up to length 4 failed: AmbiguousClass: real trace"
     )
 
 
@@ -932,14 +959,20 @@ def write_raw_group(path, generators):
 @pytest.mark.parametrize(
     "generators, length, stage",
     [
-        (AMBIGUOUS_GROUP, "9", "shortest screw search"),
+        (FUNNEL_GROUP, "4", "geodesic stream"),
         (OVERFLOW_GROUP, "4", "word ball"),
+        # the plane's spanning pair has entries near 1e200
+        (OVERFLOW_GROUP, "2", "plane test"),
+        (OVERFLOW_GROUP, "3", "plane test"),
     ],
-    ids=["ambiguous_trace", "overflow"],
+    ids=["ambiguous_trace", "overflow", "overflow_plane_2", "overflow_plane_3"],
 )
 def test_cli_kernel_failures_exit_inconclusive(
-    tmp_path, capsys, generators, length, stage
+    request, tmp_path, capsys, generators, length, stage
 ):
+    if generators is FUNNEL_GROUP:
+        # the funnel group has no such trace: classify is made to raise
+        request.getfixturevalue("ambiguous_stream")
     path = tmp_path / "group.json"
     write_raw_group(path, generators)
     code, out, err = run_cli(
