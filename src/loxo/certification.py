@@ -16,22 +16,10 @@ import math
 
 import numpy as np
 
-from .enumeration import (
-    _cosh_half_length,
-    _row_matrix,
-    conjugate_rows,
-    enumerate_ball,
-)
-from .errors import NearSingular, OutOfRange
-from .geometry import (
-    INTERSECTION_TOL,
-    geodesic_separation,
-    halfturn_matrix,
-    halfturn_separation,
-    same_line,
-    transform_line,
-)
-from .isometry import CHORDAL_TOL, TOL_TRACE
+from .enumeration import _cosh_half_length, conjugate_rows, enumerate_ball
+from .errors import OutOfRange
+from .geometry import INTERSECTION_TOL, halfturn_matrix, halfturn_separation
+from .isometry import TOL_TRACE, MoebiusIsometry
 
 
 class SimplicityReport:
@@ -66,92 +54,66 @@ class SimplicityReport:
 # cosh of the intersection tolerance: translates closer than this cross
 _COSH_INTERSECTION = math.cosh(INTERSECTION_TOL)
 _EPS = float(np.finfo(float).eps)
+# roundoff bound per unit of monomial magnitude, for the trace of
+# h w h w^-1 and for the entries of w h w^-1
+_SLACK = 64 * _EPS
 
 
-def _norm(z, w):
-    return np.hypot(np.abs(z), np.abs(w))
+def _halfturn_traces(h, entries):
+    """Trace t of h w h w^-1 for each unit-determinant row w of entries,
+    h = [[al, be], [ga, -al]] the half-turn about the axis, and the sum of
+    the magnitudes of the monomials of t as a polynomial in the entries,
 
+    t = 2 al^2 (ad + bc) + be ga (a^2 + d^2) + 2 al ga (bd - ab)
+        + 2 al be (cd - ac) - be^2 c^2 - ga^2 b^2.
 
-def _chordal(z1, w1, n1, z2, w2, n2):
-    """chordal_distance between arrays of homogeneous points (z : w) of
-    norms n = _norm(z, w)."""
-    return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
-
-
-def _translate_screen(axis, entries):
-    """Rows whose translate of the axis the scalar scan must look at.
-
-    Returns the rows to scan, the rows among them that tie for the nearest
-    translate, and the half-turn about the axis (None when it cannot be
-    built, and then no row ties).  A row is left out when it surely
-    stabilizes the axis, or when its translate is surely a proper line
-    that shares no endpoint with the axis, does not cross it and stays
-    clear of the nearest translate.  A tied row is surely such a proper
-    line, apart from the axis and not crossing it, so only its distance
-    is left to compute.
-
-    Roundoff slack: an image w p is off in direction by 7 eps M |p| / |w p|
-    (M the largest entry of w), so chordal distances get a slack of
-    32 eps (1 + r_p + r_q) with r = M |p| / |w p|.  The trace t of
-    h w h w^-1, h the half-turn about the axis, is off by at most
-    512 eps (1 + M^2) |h|^2, the slack in t and in cosh of the distance,
-    (|t/2 - 1| + |t/2 + 1|) / 2; the nearest translates keep a further
-    relative 1e-9 for the scalar route through the translated endpoints.
+    Conjugating h and w by a diagonal matrix leaves each monomial
+    unchanged, so a roundoff bound in their sum follows the scale of the
+    group, not of its coordinates.
     """
-    p, q = axis.p, axis.q
+    al, be, ga = h.a, h.b, h.c
     a, b, c, d = entries.T
-    pz, pw = a * p.z + b * p.w, c * p.z + d * p.w
-    qz, qw = a * q.z + b * q.w, c * q.z + d * q.w
-    big = np.abs(entries).max(axis=1)
-    p_norm, q_norm = _norm(p.z, p.w), _norm(q.z, q.w)
-    wp_norm, wq_norm = _norm(pz, pw), _norm(qz, qw)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        to_p = (
-            _chordal(pz, pw, wp_norm, p.z, p.w, p_norm),
-            _chordal(qz, qw, wq_norm, p.z, p.w, p_norm),
-        )
-        to_q = (
-            _chordal(pz, pw, wp_norm, q.z, q.w, q_norm),
-            _chordal(qz, qw, wq_norm, q.z, q.w, q_norm),
-        )
-        proper = _chordal(pz, pw, wp_norm, qz, qw, wq_norm)
-        stretch = big * (
-            math.hypot(abs(p.z), abs(p.w)) / wp_norm
-            + math.hypot(abs(q.z), abs(q.w)) / wq_norm
-        )
-    slack = 32 * _EPS * (1.0 + stretch)
-    below, above = CHORDAL_TOL - slack, CHORDAL_TOL + slack
-    stabilizer = ((to_p[0] < below) & (to_q[1] < below)) | (
-        (to_q[0] < below) & (to_p[1] < below)
+    u, v = ga * b, be * c
+    t = (
+        2.0 * al * al * (a * d + b * c)
+        + be * ga * (a * a + d * d)
+        + 2.0 * al * (d - a) * (u + v)
+        - u * u
+        - v * v
     )
-    apart = (
-        (proper > above)
-        & (to_p[0] > above) & (to_p[1] > above)
-        & (to_q[0] > above) & (to_q[1] > above)
+    ma, mb, mc, md = np.abs(entries).T
+    mal, mbe, mga = abs(al), abs(be), abs(ga)
+    mu, mv = mga * mb, mbe * mc
+    monomials = (
+        2.0 * mal * mal * (ma * md + mb * mc)
+        + mbe * mga * (ma * ma + md * md)
+        + 2.0 * mal * (ma + md) * (mu + mv)
+        + mu * mu
+        + mv * mv
     )
-    try:
-        h = halfturn_matrix(axis)
-    except NearSingular:
-        # the scalar separation fails on every translate: scan them all
-        return ~stabilizer, np.zeros(len(entries), dtype=bool), None
+    return t, monomials
 
-    g = conjugate_rows(h, entries)
-    t = h.a * g[:, 0] + h.b * g[:, 2] + h.c * g[:, 1] + h.d * g[:, 3]
-    size = max(abs(h.a), abs(h.b), abs(h.c), abs(h.d))
-    error = 512 * _EPS * (1.0 + big**2) * size**2
-    x = _cosh_half_length(t)
-    # a crossing, or a product the scalar code takes for elliptic or
-    # parabolic, both of which it reports at distance 0
-    near_real = np.abs(t.imag) <= TOL_TRACE + error
-    crossing = ~(x - error > _COSH_INTERSECTION) | (
-        near_real & (np.abs(t.real) <= 2.0 + TOL_TRACE + error)
+
+def _stabilizers(h, entries):
+    """Rows w of entries with w h w^-1 = +-h entrywise within the roundoff
+    bound of each entry's monomials, and the rows of w h w^-1."""
+    al, be, ga = abs(h.a), abs(h.b), abs(h.c)
+    ma, mb, mc, md = np.abs(entries).T
+    diagonal = al * (ma * md + mb * mc) + ga * mb * md + be * ma * mc
+    bound = _SLACK * np.stack(
+        (
+            diagonal,
+            be * ma * ma + 2.0 * al * ma * mb + ga * mb * mb,
+            ga * md * md + 2.0 * al * mc * md + be * mc * mc,
+            diagonal,
+        ),
+        axis=1,
     )
-    scan = ~stabilizer & (~apart | crossing)
-    tied = ~stabilizer & ~scan
-    if tied.any():
-        reach = (x[tied] + error[tied]).min() * (1.0 + 1e-9)
-        tied &= x - error <= reach
-    return scan | tied, tied, h
+    g = conjugate_rows(h, entries)
+    hs = np.array([h.a, h.b, h.c, h.d])
+    same = (np.abs(g - hs) <= bound).all(axis=1)
+    flipped = (np.abs(g + hs) <= bound).all(axis=1)
+    return same | flipped, g
 
 
 def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
@@ -165,26 +127,40 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
     translate distance is a tube radius bound (infinite when the whole ball
     stabilizes the axis).
 
-    A numpy screen of the whole ball picks the words to scan; the scalar
-    test runs on their matrices in ball order, so witnesses and distances
-    are its.  For a translate the screen has proved to be a line apart
-    from the axis, the test goes straight to the half-turn product.  ball,
-    when given, must be an enumerate_ball result; only a witness's word is
-    built.
+    Every translate w.axis is decided from t = tr(h w h w^-1), h the
+    half-turn about the axis: cosh of its distance to the axis is
+    (|t/2 - 1| + |t/2 + 1|) / 2.  Only the rows that may cross within the
+    roundoff bound of t (the band) are looked at one by one: a row with
+    w h w^-1 = +-h is a stabilizer, and every other band row goes to the
+    scalar halfturn_separation, whose distance and angle are reported.
+    ball, when given, must be an enumerate_ball result; only a witness's
+    word is built.  A half-turn about the axis that cannot be normalized
+    raises NearSingular.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
+    h = halfturn_matrix(axis)
     entries = ball.entries
-    scan, tied, h = _translate_screen(axis, entries)
-    closest = math.inf
-    for i in np.flatnonzero(scan).tolist():
-        translate = transform_line(_row_matrix(entries, i), axis)
-        if tied[i]:
-            sep = halfturn_separation(halfturn_matrix(translate), h)
-        elif same_line(translate, axis):
-            continue
-        else:
-            sep = geodesic_separation(translate, axis)
+    t, monomials = _halfturn_traces(h, entries)
+    bound = _SLACK * monomials
+    x = _cosh_half_length(t)
+    with np.errstate(invalid="ignore"):
+        # a crossing, or a product the scalar code takes for elliptic or
+        # parabolic, both of which it reports at distance 0; a row whose
+        # trace is not finite goes to the scalar code too
+        band = ~(x - bound > _COSH_INTERSECTION) | (
+            (np.abs(t.imag) <= TOL_TRACE + bound)
+            & (np.abs(t.real) <= 2.0 + TOL_TRACE + bound)
+        )
+    # the rows s w s', s and s' stabilizers, lie at one distance; reading
+    # each row's cosh one eps per unit of monomial high lets the
+    # best-conditioned of them, not the one rounded lowest, set the least
+    far = (x + _EPS * monomials)[~band]
+    closest = math.acosh(far.min()) if len(far) else math.inf
+    rows = np.flatnonzero(band)
+    stabilizer, conjugates = _stabilizers(h, entries[rows])
+    for i, g in zip(rows[~stabilizer].tolist(), conjugates[~stabilizer].tolist()):
+        sep = halfturn_separation(h, MoebiusIsometry(*g))
         if sep.distance < INTERSECTION_TOL:
             return SimplicityReport(
                 "self_intersecting",
@@ -193,8 +169,7 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
                 angle=sep.angle,
             )
         closest = min(closest, sep.distance)
-    bound = closest / 2.0 if closest < math.inf else math.inf
-    return SimplicityReport("simple_up_to_bound", tube_radius_lower=bound)
+    return SimplicityReport("simple_up_to_bound", tube_radius_lower=closest / 2.0)
 
 
 def margulis_filter(entries, epsilon=0.1):

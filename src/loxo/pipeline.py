@@ -33,7 +33,6 @@ from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
     EXIT_OK,
-    DegeneratePoints,
     DuplicateLabel,
     IdentityGenerator,
     LoxoError,
@@ -202,7 +201,7 @@ def _entry_from_word(word, tol_trace):
 def _certify_first_simple(group, entries, config, ball):
     """SimpleGeodesicFound for the first entry that certifies, else None.
 
-    A scan that hits a degenerate translate stops the search with an
+    A scan whose half-turn cannot be normalized stops the search with an
     Inconclusive naming the word, since its outcome is unknown.
     """
     for entry in entries:
@@ -214,7 +213,7 @@ def _certify_first_simple(group, entries, config, ball):
                 config.tol_trace,
                 ball=ball,
             )
-        except (NearSingular, DegeneratePoints) as exc:
+        except NearSingular as exc:
             return Inconclusive(
                 "simplicity check of %s failed: %s: %s"
                 % (entry.word.name, type(exc).__name__, exc)

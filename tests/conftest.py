@@ -150,6 +150,108 @@ def oracle_min_distance(line_a, line_b):
     return math.acosh(1.0 + best)
 
 
+def _mul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+    )
+
+
+# working precision of the mpmath oracles, in decimal digits
+MP_DIGITS = 50
+
+
+def mpmath_words(generators, ball):
+    """The unit-determinant matrices of the ball's words in mpmath, each
+    rebuilt from its prefix and last letter over exact generator entries
+    (see exact_generators), so that no float product enters."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        letters = []
+        for m in generators:
+            m = tuple(mpmath.mpc(z) for z in m)
+            root = mpmath.sqrt(m[0] * m[3] - m[1] * m[2])
+            m = tuple(z / root for z in m)
+            letters += [m, (m[3], -m[1], -m[2], m[0])]
+        words = []
+        for parent, letter in zip(ball.parents.tolist(), ball.letters.tolist()):
+            m = letters[letter]
+            words.append(m if parent < 0 else _mul(words[parent], m))
+        return words
+
+
+def mpmath_translate_distances(words, m, stop_at_crossing=False):
+    """Distance in mpmath from the axis of the loxodromic m to its
+    translate by each of the words (mpmath_words): None for a word that
+    stabilizes the axis.
+
+    The half-turn about the axis of m is i (m - m^-1) / sqrt(tr(m)^2 - 4);
+    for t = tr(h w h w^-1) the distance is
+    arccosh((|t/2 - 1| + |t/2 + 1|) / 2).  With stop_at_crossing the list
+    ends at the first word whose translate lies within INTERSECTION_TOL of
+    the axis.
+    """
+    import mpmath
+
+    from loxo.geometry import INTERSECTION_TOL
+
+    with mpmath.workdps(MP_DIGITS):
+        inverse = (m[3], -m[1], -m[2], m[0])
+        root = mpmath.sqrt((m[0] + m[3]) ** 2 - 4)
+        h = tuple(1j * (x - y) / root for x, y in zip(m, inverse))
+        h_size = max(abs(z) for z in h)
+        small = mpmath.mpf(10) ** (10 - MP_DIGITS)
+        crossing = mpmath.cosh(INTERSECTION_TOL)
+        out = []
+        for w in words:
+            g = _mul(_mul(w, h), (w[3], -w[1], -w[2], w[0]))
+            z = (h[0] * (g[0] - g[3]) + h[1] * g[2] + h[2] * g[1]) / 2
+            x = (abs(z - 1) + abs(z + 1)) / 2
+            if x - 1 <= small:
+                size = small * h_size * max(abs(u) for u in w) ** 2
+                if any(
+                    max(abs(u - sign * v) for u, v in zip(g, h)) <= size
+                    for sign in (1, -1)
+                ):
+                    out.append(None)
+                    continue
+            out.append(float(mpmath.acosh(x)))
+            if stop_at_crossing and x < crossing:
+                break
+        return out
+
+
+def exact_generators(name):
+    """Generator entries, exact as far as mpmath's 50 digits go, of the
+    reference or float group of that name: the integer, dyadic and
+    Eisenstein entries of the base group, conjugated in mpmath by the
+    float group's conjugator taken as exact."""
+    import mpmath
+
+    omega = (1 + 1j * mpmath.sqrt(3)) / 2
+    base = {
+        "figure_eight": [(1, 1, 0, 1), (1, 0, -omega, 1)],
+        "thrice_punctured": [(1, 2, 0, 1), (1, 0, 2, 1)],
+        "diag_hyperbolic": [(2, 0, 0, 0.5)],
+        "single_parabolic": [(1, 1, 0, 1)],
+        "funnel": [(1, 2, 0, 1), (1, 0, 3, 1)],
+        "torus": [(1, 1, 1, 2), (1, -1, -1, 2)],
+        "schottky": [(-1.5, -7.75, 1, 4.5), (4.5, -7.75, 1, -1.5)],
+    }
+    with mpmath.workdps(MP_DIGITS):
+        if name in base:
+            return [tuple(mpmath.mpc(z) for z in m) for m in base[name]]
+        g = dict(_conjugators())[name]
+        g = tuple(mpmath.mpc(z) for z in (g.a, g.b, g.c, g.d))
+        det = g[0] * g[3] - g[1] * g[2]
+        inverse = (g[3] / det, -g[1] / det, -g[2] / det, g[0] / det)
+        return [
+            _mul(_mul(g, m), inverse)
+            for m in exact_generators(name.split()[0])
+        ]
+
+
 # ---------------------------------------------------------------------------
 # fixture groups (matrices only; higher layers wrap them as needed)
 
@@ -203,26 +305,35 @@ def seeded(name):
     return random.Random(name)
 
 
+def _conjugators():
+    """(float group name, conjugator) of the float groups' conjugates."""
+    out = []
+    for n, name in enumerate(
+        ("figure_eight", "thrice_punctured", "funnel", "torus")
+    ):
+        k = 1.7 + 0.4 * n
+        out.append((
+            name + " conjugate", random_isometry(seeded("conjugate " + name))
+        ))
+        out.append((name + " diagonal", MoebiusIsometry(k, 0, 0, 1 / k)))
+    return out
+
+
 def float_groups():
     """(name, group) pairs with float entries, on which the numpy rescale
     of enumerate_ball meets MoebiusIsometry's: the figure_eight,
     thrice_punctured, funnel and torus groups conjugated by a seeded
     random isometry and by diag(k, 1/k), and a Schottky group."""
     groups = dict(reference_groups())
-    out = []
-    for n, name in enumerate(
-        ("figure_eight", "thrice_punctured", "funnel", "torus")
-    ):
-        gens = groups[name].generators
-        k = 1.7 + 0.4 * n
-        for tag, g in (
-            ("conjugate", random_isometry(seeded("conjugate " + name))),
-            ("diagonal", MoebiusIsometry(k, 0, 0, 1 / k)),
-        ):
-            out.append((
-                "%s %s" % (name, tag),
-                GroupPresentation([x.conjugate_by(g) for x in gens]),
-            ))
+    out = [
+        (
+            name,
+            GroupPresentation([
+                x.conjugate_by(g) for x in groups[name.split()[0]].generators
+            ]),
+        )
+        for name, g in _conjugators()
+    ]
     out.append((
         "schottky",
         GroupPresentation([

@@ -28,7 +28,10 @@ from loxo.isometry import MoebiusIsometry, classify
 from conftest import (
     FIGURE_EIGHT,
     THRICE_PUNCTURED,
+    exact_generators,
     float_groups,
+    mpmath_translate_distances,
+    mpmath_words,
     reference_groups,
     seeded,
 )
@@ -88,52 +91,136 @@ def test_witness_is_first_in_shortlex():
         assert geodesic_separation(translate, axis).distance >= 1e-7
 
 
-def reference_simplicity_check(axis, ball):
-    """simplicity_check as a scalar loop over every ball word."""
-    closest = math.inf
-    for word in ball:
-        translate = transform_line(word.matrix, axis)
-        if same_line(translate, axis):
-            continue
-        sep = geodesic_separation(translate, axis)
-        if sep.distance < INTERSECTION_TOL:
-            return ("self_intersecting", word, sep.distance, sep.angle)
-        closest = min(closest, sep.distance)
-    return ("simple_up_to_bound", closest / 2.0)
-
-
-# the reference scans every translate, and on the Schottky group the
-# half-turn product of a far translate raises NearSingular
 @pytest.mark.parametrize(
-    "group",
+    "name, group",
     [
-        pytest.param(g, id=name)
+        pytest.param(name, g, id=name)
         for name, g in reference_groups() + float_groups()
-        if name != "schottky"
     ],
 )
-def test_simplicity_check_matches_scalar_reference(group):
-    # axes of the words up to length 2 and of the shortest screw
+def test_simplicity_check_matches_scalar_reference(name, group):
+    # the reference is a 50-digit mpmath scan of the length-5 ball of the
+    # group's exact generators; the balls of lengths 1-4 are its prefixes
+    big = enumerate_ball(group, 5)
+    words = mpmath_words(exact_generators(name), big)
+    rows = {w.letters: i for i, w in enumerate(big)}
+    scans = []
     for length in range(1, 6):
         ball = enumerate_ball(group, length)
-        axes = [
-            axis_of(w.matrix)
+        assert (ball.letters == big.letters[: len(ball)]).all()
+        # axes of the words up to length 2 and of the shortest screw
+        axis_words = [
+            w
             for w in ball
             if w.length <= 2
             and classify(w.matrix).kind not in ("parabolic", "identity")
         ]
         screw = shortest_screw(group, length, ball=ball)
         if screw is not None:
-            axes.append(screw.axis)
-        for axis in axes:
+            axis_words.append(screw.word)
+        for word in axis_words:
+            axis = axis_of(word.matrix)
+            scan = next((d for line, d in scans if same_line(line, axis)), None)
+            if scan is None:
+                scan = mpmath_translate_distances(
+                    words, words[rows[word.letters]], stop_at_crossing=True
+                )
+                scans.append((axis, scan))
+            scan = scan[: len(ball)]
             report = simplicity_check(group, axis, length, ball=ball)
-            expected = reference_simplicity_check(axis, ball)
-            assert report.verdict == expected[0]
-            if report.is_simple:
-                assert report.tube_radius_lower == expected[1]
-            else:
-                assert report.witness is expected[1]
-                assert (report.distance, report.angle) == expected[2:]
+            crossing = next(
+                (
+                    i
+                    for i, d in enumerate(scan)
+                    if d is not None and d < INTERSECTION_TOL
+                ),
+                None,
+            )
+            if crossing is not None:
+                assert report.verdict == "self_intersecting"
+                assert report.witness is ball[crossing]
+                assert report.distance < INTERSECTION_TOL
+                continue
+            assert report.verdict == "simple_up_to_bound"
+            distances = [d for d in scan if d is not None]
+            if not distances:
+                assert report.tube_radius_lower == math.inf
+                continue
+            assert math.isclose(
+                report.tube_radius_lower, min(distances) / 2.0, rel_tol=1e-12
+            ), (word.name, length)
+
+
+# half the least distance from the axis to a ball translate, from a
+# 50-digit mpmath scan (mpmath_translate_distances) of the ball
+MPMATH_TUBES = [
+    ("torus", "a", 6, 0.8047189562170501),
+    ("funnel", "a b'", 6, 1.1462158347805889),
+    ("schottky", "a", 5, 3.3960593375902586),
+]
+
+
+@pytest.mark.parametrize(
+    "name, word, length, tube",
+    MPMATH_TUBES,
+    ids=[case[0] for case in MPMATH_TUBES],
+)
+def test_tube_bounds_match_mpmath(name, word, length, tube):
+    group = dict(reference_groups() + float_groups())[name]
+    letters = next(
+        w.letters for w in enumerate_ball(group, 2) if w.name == word
+    )
+    axis = axis_of(group.word(letters).matrix)
+    report = simplicity_check(group, axis, length)
+    assert report.is_simple
+    assert math.isclose(report.tube_radius_lower, tube, rel_tol=1e-12)
+
+
+# the axis each base group's survey scans: its shortest screw or a
+# shortest hyperbolic word
+AXIS_WORDS = {
+    "figure_eight": (0, 2),
+    "thrice_punctured": (0, 2),
+    "funnel": (0, 3),
+    "torus": (0,),
+}
+
+
+def unit_conjugator(rng, bound=2.3):
+    """Complex-normal matrix scaled to unit determinant, entries <= bound."""
+    while True:
+        a, b, c, d = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))
+        det = a * d - b * c
+        if abs(det) < 0.1:
+            continue
+        s = cmath.sqrt(det)
+        entries = (a / s, b / s, c / s, d / s)
+        if max(abs(e) for e in entries) <= bound:
+            return MoebiusIsometry(*entries)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_WORDS))
+def test_simplicity_check_is_conjugation_invariant(name):
+    group = dict(reference_groups())[name]
+    letters = AXIS_WORDS[name]
+
+    def check(g):
+        moved = GroupPresentation([x.conjugate_by(g) for x in group.generators])
+        return simplicity_check(moved, axis_of(moved.word(letters).matrix), 6)
+
+    rng = seeded("conjugation invariance " + name)
+    conjugators = [MoebiusIsometry(k, 0, 0, 1 / k) for k in (1e2, 1e3, 1e4)]
+    conjugators += [unit_conjugator(rng) for _ in range(8)]
+    want = check(MoebiusIsometry.identity())
+    for g in conjugators:
+        got = check(g)
+        assert got.verdict == want.verdict, g
+        if want.is_simple:
+            assert math.isclose(
+                got.tube_radius_lower, want.tube_radius_lower, rel_tol=1e-9
+            ), g
+        else:
+            assert got.witness.name == want.witness.name, g
 
 
 # ---------------------------------------------------------------------------

@@ -297,9 +297,9 @@ def write_group(path, generators):
     )
 
 
-# ball words reach entries near 2e4 at length 5; 22 translates of the axis
-# of a have endpoints about 6e-8 apart, where the scalar separation cannot
-# build their half-turn, but they lie far from the axis
+# ball words reach entries near 2e4 at length 5, and 22 translates of the
+# axis of a have endpoints about 6e-8 apart; their half-turn traces put
+# them far from the axis
 LARGE_ENTRY_GENERATORS = (
     ("a", MoebiusIsometry(-1.5, -7.75, 1, 4.5)),
     ("b", MoebiusIsometry(4.5, -7.75, 1, -1.5)),
@@ -317,7 +317,7 @@ def test_verdict_large_entry_group_certifies_a():
     assert report.exit_code == EXIT_OK
     assert report.verdict.entry.word.name == "a"
     tube = report.verdict.report.tube_radius_lower
-    assert abs(tube - LARGE_ENTRY_TUBE) < 1e-4
+    assert abs(tube - LARGE_ENTRY_TUBE) < 1e-9
 
 
 def test_cli_large_entry_group_exits_ok(tmp_path, capsys):
@@ -335,7 +335,7 @@ def test_cli_large_entry_group_exits_ok(tmp_path, capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["geodesic"]["word"] == "a"
-    assert abs(data["simplicity"]["tube_radius_lower"] - LARGE_ENTRY_TUBE) < 1e-4
+    assert abs(data["simplicity"]["tube_radius_lower"] - LARGE_ENTRY_TUBE) < 1e-9
 
 
 def figure_eight_far_conjugate():
@@ -346,18 +346,21 @@ def figure_eight_far_conjugate():
     return list(zip(group.labels, (g.conjugate_by(k) for g in group.generators)))
 
 
-def test_verdict_degenerate_translate_is_inconclusive():
+# the tube bound of a b in the figure_eight group itself at length 6
+FIGURE_EIGHT_TUBE = 0.426679600941157
+
+
+def test_verdict_far_conjugate_certifies_a_b():
     group = GroupPresentation([m for _, m in figure_eight_far_conjugate()])
     report = classify_manifold(group, RunConfig(max_word_len=6))
-    assert report.verdict.kind == "Inconclusive"
-    assert report.exit_code == EXIT_INCONCLUSIVE
-    reason = report.to_dict()["reason"]
-    assert reason.startswith(
-        "simplicity check of a b failed: DegeneratePoints"
-    )
+    assert report.verdict.kind == "SimpleGeodesicFound"
+    assert report.exit_code == EXIT_OK
+    assert report.verdict.entry.word.name == "a b"
+    tube = report.verdict.report.tube_radius_lower
+    assert abs(tube - FIGURE_EIGHT_TUBE) < 1e-9
 
 
-def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
+def test_cli_far_conjugate_exits_ok(tmp_path, capsys):
     path = tmp_path / "far.json"
     write_group(path, figure_eight_far_conjugate())
     code, out, _ = run_cli(
@@ -369,8 +372,20 @@ def test_cli_degenerate_translate_exits_inconclusive(tmp_path, capsys):
         "--format",
         "json",
     )
-    assert code == EXIT_INCONCLUSIVE
-    assert json.loads(out)["verdict"] == "Inconclusive"
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["verdict"] == "SimpleGeodesicFound"
+    assert data["geodesic"]["word"] == "a b"
+    assert abs(data["simplicity"]["tube_radius_lower"] - FIGURE_EIGHT_TUBE) < 1e-9
+
+
+@pytest.mark.parametrize("length", [9, 10])
+def test_torus_a_certifies_past_its_stabilizer_powers(length):
+    # a^9 and a^10 stabilize the axis of a; their entries reach 4e3
+    group = dict(reference_groups())["torus"]
+    report = classify_manifold(group, RunConfig(max_word_len=length))
+    assert report.verdict.kind == "SimpleGeodesicFound"
+    assert report.verdict.entry.word.name == "a"
 
 
 def test_verdicts_without_spectrum(monkeypatch):
