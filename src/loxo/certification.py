@@ -116,7 +116,7 @@ def _stabilizers(h, entries):
     return same | flipped, g
 
 
-def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
+def simplicity_check(group, axis, max_word_len, ball=None):
     """Scan ball translates of the axis for a crossing.
 
     Words fixing the axis setwise are stabilizers and prove nothing.  A
@@ -133,9 +133,10 @@ def simplicity_check(group, axis, max_word_len, tol_trace=TOL_TRACE, ball=None):
     roundoff bound of t (the band) are looked at one by one: a row with
     w h w^-1 = +-h is a stabilizer, and every other band row goes to the
     scalar halfturn_separation, whose distance and angle are reported.
-    ball, when given, must be an enumerate_ball result; only a witness's
-    word is built.  A half-turn about the axis that cannot be normalized
-    raises NearSingular.
+    The band takes TOL_TRACE plus the roundoff bound of t, whatever trace
+    tolerance classified the group's words.  ball, when given, must be an
+    enumerate_ball result; only a witness's word is built.  A half-turn
+    about the axis that cannot be normalized raises NearSingular.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)

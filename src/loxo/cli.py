@@ -211,9 +211,7 @@ def _cmd_check_simple(args):
     config = _config_from(args)
     word = _parse_word(group, args.word)
     axis = axis_of(word.matrix, config.tol_trace)
-    report = simplicity_check(
-        group, axis, config.max_word_len, config.tol_trace
-    )
+    report = simplicity_check(group, axis, config.max_word_len)
     data = {
         "word": word.name,
         "simplicity": simplicity_json(report),

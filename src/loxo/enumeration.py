@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import EXIT_OK, BudgetExceeded
 from .geometry import (
-    PLANE_TOL,
     axis_of,
     circle_json,
     geodesic_separation,
@@ -394,21 +393,18 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
         allowed = letter_index[None, :] != (frontier_last ^ 1)[:, None]
         parent_of, letter_of = np.nonzero(allowed)
         rows = np.empty((len(parent_of), 4), dtype=complex)
-        filled, error = 0, None
         # an overflowing product is reported as NearSingular
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
                 stop = start + _LEVEL_CHUNK
-                chunk, error = canonical_rows(
+                # parent_of is sorted, so the chunk's children are one run
+                lo, hi = np.searchsorted(parent_of, (start, stop))
+                rows[lo:hi] = canonical_rows(
                     product_rows(frontier_rows[start:stop], letter_rows)[
                         allowed[start:stop]
                     ]
                 )
-                rows[filled:filled + len(chunk)] = chunk
-                filled += len(chunk)
-                if error is not None:
-                    break
-        kept = seen.add_rows(rows[:filled])
+        kept = seen.add_rows(rows)
         # the candidates go before the next level's are built
         del rows
         parents.append(offset + parent_of[kept])
@@ -418,8 +414,6 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
             raise BudgetExceeded(
                 "ball exceeds %d elements at radius %d" % (cap, length)
             )
-        if error is not None:
-            raise error
         if not len(kept):
             break
         frontier_rows = seen.rows[-len(kept):]
@@ -730,13 +724,7 @@ def _character_screw(group, tol_trace):
     return None
 
 
-def fuchsian_test(
-    group,
-    max_word_len,
-    tol_trace=TOL_TRACE,
-    tol=PLANE_TOL,
-    ball=None,
-):
+def fuchsian_test(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     """Screw test on the character, then the plane of a hyperbolic pair.
 
     Verdicts: "screw_found" when a generator product has a non-real trace
@@ -767,7 +755,7 @@ def fuchsian_test(
                 kinds[i] == _UNDECIDED
                 and classify(m, tol_trace).kind == "hyperbolic"
             )
-            axes[i] = axis_of(m) if hyperbolic else None
+            axes[i] = axis_of(m, tol_trace) if hyperbolic else None
         return axes[i]
 
     rows = np.flatnonzero(
@@ -785,9 +773,7 @@ def fuchsian_test(
                 for q in axis_v.endpoints()
             ):
                 continue
-            plane = invariant_plane(
-                ball[i].matrix, ball[j].matrix, tol_trace, tol
-            )
+            plane = invariant_plane(ball[i].matrix, ball[j].matrix, tol_trace)
             return FuchsianResult("all_non_screw_with_plane", plane=plane)
     return FuchsianResult("elementary")
 

@@ -13,6 +13,7 @@ single plane whose boundary circle every word of the pair preserves.
 """
 
 from .errors import (
+    DegeneratePoints,
     IdentityInput,
     InvalidChoice,
     NoValidSharedAxis,
@@ -220,7 +221,8 @@ def shared_factorization(alpha, beta, tol_trace=TOL_TRACE):
 
 
 def _spread_triple(points):
-    """Three points maximizing the smallest pairwise gap, for a stable fit."""
+    """Three points maximizing the smallest pairwise gap, for a stable fit;
+    DegeneratePoints when no three have a gap that is a number."""
     best = None
     best_gap = -1.0
     n = len(points)
@@ -235,6 +237,8 @@ def _spread_triple(points):
                 if gap > best_gap:
                     best_gap = gap
                     best = (points[i], points[j], points[k])
+    if best is None:
+        raise DegeneratePoints("no three of %r lie apart" % (points,))
     return best
 
 

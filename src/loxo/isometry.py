@@ -231,15 +231,15 @@ def _quotient(re, im, s_re, s_im):
 
 
 def canonical_rows(raw):
-    """Rows as MoebiusIsometry would store them, and its error if any.
+    """Rows as MoebiusIsometry would store them.
 
     numpy repeats the constructor's float operations: the determinant, the
     rescale by its principal square root where |det - 1| > TOL_DET, and
     the canonical sign.  A row goes through MoebiusIsometry itself when
     |det - 1| or |det| lies within _MARGIN of TOL_DET, when it is not
-    finite, or when its trace is within SIGN_TOL of zero.  When that
-    raises, or when a row comes out not finite (an overflowing product),
-    the rows before the failing one are returned with a NearSingular.
+    finite, or when its trace is within SIGN_TOL of zero.  Its NearSingular
+    propagates, and a row that comes out not finite (an overflowing
+    product) raises one too.
     """
     re, im = raw.real, raw.imag
     ar, ai, br, bi, cr, ci, dr, di = (
@@ -277,16 +277,13 @@ def canonical_rows(raw):
         rows.real[:] = s * re
         rows.imag[:] = s * im
     for i in np.flatnonzero(scalar).tolist():
-        try:
-            m = MoebiusIsometry(*raw[i].tolist())
-        except NearSingular as exc:
-            return rows[:i], exc
+        m = MoebiusIsometry(*raw[i].tolist())
         rows[i] = (m.a, m.b, m.c, m.d)
         if not all(map(cmath.isfinite, rows[i].tolist())):
-            return rows[:i], NearSingular(
+            raise NearSingular(
                 "entries %r are not finite" % (tuple(rows[i].tolist()),)
             )
-    return rows, None
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
     EXIT_OK,
+    BudgetExceeded,
     DuplicateLabel,
     IdentityGenerator,
     LoxoError,
@@ -198,150 +199,107 @@ def _entry_from_word(word, tol_trace):
     )
 
 
-def _certify_first_simple(group, entries, config, ball):
-    """SimpleGeodesicFound for the first entry that certifies, else None.
-
-    A scan whose half-turn cannot be normalized stops the search with an
-    Inconclusive naming the word, since its outcome is unknown.
-    """
-    for entry in entries:
-        try:
-            report = simplicity_check(
-                group,
-                entry.axis,
-                config.max_word_len,
-                config.tol_trace,
-                ball=ball,
-            )
-        except NearSingular as exc:
-            return Inconclusive(
-                "simplicity check of %s failed: %s: %s"
-                % (entry.word.name, type(exc).__name__, exc)
-            )
-        if report.is_simple:
-            return SimpleGeodesicFound(entry, report)
-    return None
-
-
 def classify_manifold(group, config=None):
     """Run the trichotomy on a generating set and report with evidence.
 
-    A library error raised after the ball is built (a trace in the band
-    where classify raises AmbiguousClass, a plane that invariant_plane
-    cannot fit) ends the search with an Inconclusive naming the stage.
+    Each branch names its candidate geodesics and the reason it gives when
+    none certifies as simple; one loop checks the candidates in order.  A
+    library error other than BudgetExceeded (a trace in the band where
+    classify raises AmbiguousClass, a product that cannot be normalized, a
+    plane that invariant_plane cannot fit) ends the search with an
+    Inconclusive naming the stage that raised it.
     """
     if config is None:
         config = RunConfig()
     warnings = jorgensen_warnings(group, config.tol_trace)
-
-    def report(verdict):
-        return ManifoldReport(verdict, config, warnings)
-
-    elem = elementary_test(group, config.tol_trace)
-    if elem.verdict == "limit_points_0_or_1":
-        return report(Elementary("0_or_1"))
-
+    stage = ["elementary test"]
     try:
-        ball = enumerate_ball(group, config.max_word_len, config.cap)
-    except NearSingular as exc:
-        return report(
-            Inconclusive(
-                "word ball up to length %d failed: NearSingular: %s"
-                % (config.max_word_len, exc)
-            )
-        )
-    stage = ["plane test"]
-    try:
-        verdict = _verdict_from_ball(group, config, elem, ball, stage)
+        verdict = _verdict(group, config, stage)
+    except BudgetExceeded:
+        raise
     except LoxoError as exc:
         verdict = Inconclusive(
-            "%s up to length %d failed: %s: %s"
-            % (stage[0], config.max_word_len, type(exc).__name__, exc)
+            "%s failed: %s: %s" % (stage[0], type(exc).__name__, exc)
         )
-    return report(verdict)
+    return ManifoldReport(verdict, config, warnings)
 
 
-def _verdict_from_ball(group, config, elem, ball, stage):
-    """classify_manifold's verdict for a non-elementary ball; stage[0]
-    names the kernel running, for a report of what it raises."""
+def _verdict(group, config, stage):
+    """classify_manifold's verdict; stage[0] names the step running, for a
+    report of what it raises."""
+    length, tol_trace = config.max_word_len, config.tol_trace
+    bound = " up to length %d" % length
+    elem = elementary_test(group, tol_trace)
+    if elem.verdict == "limit_points_0_or_1":
+        return Elementary("0_or_1")
+    stage[0] = "word ball" + bound
+    ball = enumerate_ball(group, length, config.cap)
 
-    def entries_of(*kinds):
-        # the stream is read only on the branches that need it, and only
-        # up to the first geodesic that certifies
-        stage[0] = "geodesic stream"
-        entries = geodesics(
-            group,
-            config.max_word_len,
-            config.length_cutoff,
-            config.tol_trace,
-            ball=ball,
-        )
-        return (e for e in entries if e.kind in kinds)
+    def stream(*kinds):
+        # read only on the branches that need it, and only up to the first
+        # geodesic that certifies; the stage is named again each time the
+        # certifying loop resumes the stream
+        stage[0] = "geodesic stream" + bound
+        for entry in geodesics(
+            group, length, config.length_cutoff, tol_trace, ball=ball
+        ):
+            if entry.kind in kinds:
+                yield entry
+                stage[0] = "geodesic stream" + bound
 
     if elem.verdict == "limit_points_2":
-        on_axis = (
+        candidates = (
             e
-            for e in entries_of("hyperbolic", "screw")
+            for e in stream("hyperbolic", "screw")
             if same_line(e.axis, elem.axis)
         )
-        found = _certify_first_simple(group, on_axis, config, ball)
-        if found is not None:
-            return found
-        return Inconclusive(
+        reason = (
             "two limit points, but no loxodromic word below the length "
             "cutoff certifies as simple"
         )
-
-    fuch = fuchsian_test(
-        group, config.max_word_len, config.tol_trace, ball=ball
-    )
-
-    if fuch.verdict == "all_non_screw_with_plane":
-        pair = parabolic_generator_pair(group, config.tol_trace)
-        if pair is not None:
-            return ThricePuncturedSphereEvidence(pair[0], pair[1], fuch.plane)
-        hyperbolic = entries_of("hyperbolic")
-        first = next(hyperbolic, None)
-        if first is None:
-            return Inconclusive(
-                "ball preserves a plane but contains no hyperbolic word "
-                "below the length cutoff"
+    else:
+        stage[0] = "plane test" + bound
+        fuch = fuchsian_test(group, length, tol_trace, ball=ball)
+        if fuch.verdict == "all_non_screw_with_plane":
+            pair = parabolic_generator_pair(group, tol_trace)
+            if pair is not None:
+                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
+            candidates = stream("hyperbolic")
+            first = next(candidates, None)
+            if first is None:
+                return Inconclusive(
+                    "ball preserves a plane but contains no hyperbolic word "
+                    "below the length cutoff"
+                )
+            candidates = itertools.chain((first,), candidates)
+            reason = (
+                "every plane-preserving hyperbolic word up to the bound "
+                "self-intersects"
             )
-        found = _certify_first_simple(
-            group, itertools.chain((first,), hyperbolic), config, ball
-        )
-        if found is not None:
-            return found
-        return Inconclusive(
-            "every plane-preserving hyperbolic word up to the bound "
-            "self-intersects"
-        )
+        elif fuch.verdict == "screw_found":
+            stage[0] = "shortest screw search" + bound
+            entry = shortest_screw(group, length, tol_trace, ball=ball)
+            if entry is None:
+                entry = _entry_from_word(fuch.witness, tol_trace)
+            candidates = [entry]
+            reason = (
+                "shortest screw word %s self-intersects within the bound"
+                % entry.word.name
+            )
+        else:
+            # no two hyperbolic words with distinct endpoints
+            candidates = stream("hyperbolic")
+            reason = (
+                "generators pass the non-elementary test but the ball "
+                "shows no certifiable loxodromic geodesic"
+            )
 
-    if fuch.verdict == "screw_found":
-        stage[0] = "shortest screw search"
-        entry = shortest_screw(
-            group, config.max_word_len, config.tol_trace, ball=ball
-        )
-        if entry is None:
-            entry = _entry_from_word(fuch.witness, config.tol_trace)
-        found = _certify_first_simple(group, [entry], config, ball)
-        if found is not None:
-            return found
-        return Inconclusive(
-            "shortest screw word %s self-intersects within the bound"
-            % entry.word.name
-        )
-
-    # fuchsian fallback: no two hyperbolic words with distinct endpoints
-    found = _certify_first_simple(
-        group, entries_of("hyperbolic"), config, ball
-    )
-    if found is not None:
-        return found
-    return Inconclusive(
-        "generators pass the non-elementary test but the ball shows "
-        "no certifiable loxodromic geodesic"
-    )
+    for entry in candidates:
+        stage[0] = "simplicity check of " + entry.word.name
+        report = simplicity_check(group, entry.axis, length, ball=ball)
+        if report.is_simple:
+            return SimpleGeodesicFound(entry, report)
+    return Inconclusive(reason)
 
 
 # ---------------------------------------------------------------------------

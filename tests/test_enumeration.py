@@ -754,6 +754,16 @@ def test_fuchsian_single_axis_is_elementary():
     assert result.verdict == "elementary"
 
 
+def test_fuchsian_pair_axes_take_the_trace_tolerance():
+    # a, of trace 2 + 5e-10, is hyperbolic at tolerance 0 but has one fixed
+    # point at the default tolerance
+    group = GroupPresentation(
+        [MoebiusIsometry(2 + 5e-10, -1, 1, 0), MoebiusIsometry(2, 1, 1, 1)]
+    )
+    result = fuchsian_test(group, 2, 0.0)
+    assert result.verdict == "all_non_screw_with_plane"
+
+
 def test_fuchsian_conjugated_real_group():
     rng = seeded("fuchsian conjugated")
     from conftest import random_isometry

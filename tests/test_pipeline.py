@@ -12,8 +12,10 @@ from loxo.cli import build_parser, main
 from loxo.enumeration import GroupPresentation
 from loxo.errors import (
     AmbiguousClass,
+    BudgetExceeded,
     DuplicateLabel,
     IdentityGenerator,
+    NearSingular,
     OutOfRange,
     ParseError,
     SingularGenerator,
@@ -467,6 +469,14 @@ AMBIGUOUS_GROUP = (
 )
 # products of length 4 overflow to entries that are not finite
 OVERFLOW_GROUP = ((1e100, 0, 0, 1e-100), (1, 1e100, 0, 1))
+# every fixed point of a, b and a b is nan: no circle passes through three
+NAN_PLANE_GROUP = ((1e160, 0, 0, 1e-160), (1, 1e160, 0, 1))
+# the generator a has trace (2 - 0.9e-9) + 0.9e-9 i, in the band where
+# classify raises AmbiguousClass
+AMBIGUOUS_GENERATOR_GROUP = (
+    ((2 - 0.9e-9) + 0.9e-9j, -1, 1, 0),
+    (2, 1, 1, 1),
+)
 
 
 FUNNEL_GROUP = ((1, 2, 0, 1), (1, 0, 3, 1))
@@ -502,6 +512,44 @@ def test_ambiguous_trace_is_inconclusive(ambiguous_stream):
     assert report.verdict.reason.startswith(
         "geodesic stream up to length 4 failed: AmbiguousClass: real trace"
     )
+
+
+def test_ambiguous_generator_is_inconclusive():
+    group = GroupPresentation(
+        [MoebiusIsometry(*m) for m in AMBIGUOUS_GENERATOR_GROUP]
+    )
+    report = classify_manifold(group, RunConfig(max_word_len=4))
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    assert report.verdict.reason.startswith(
+        "elementary test failed: AmbiguousClass: real trace"
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, stage",
+    [
+        ("elementary_test", "elementary test"),
+        ("enumerate_ball", "word ball up to length 4"),
+        ("fuchsian_test", "plane test up to length 4"),
+        ("shortest_screw", "shortest screw search up to length 4"),
+        ("simplicity_check", "simplicity check of a b"),
+    ],
+)
+def test_each_stage_names_its_failure(monkeypatch, kernel, stage):
+    def fail(*args, **kwargs):
+        raise NearSingular("forced")
+
+    monkeypatch.setattr(loxo.pipeline, kernel, fail)
+    group, _ = load_group_file(fixture("figure_eight.json"))
+    report = classify_manifold(group, RunConfig(max_word_len=4))
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    assert report.verdict.reason == stage + " failed: NearSingular: forced"
+
+
+def test_budget_exceeded_propagates():
+    group, _ = load_group_file(fixture("figure_eight.json"))
+    with pytest.raises(BudgetExceeded):
+        classify_manifold(group, RunConfig(max_word_len=3, cap=10))
 
 
 def test_overflowing_ball_is_inconclusive():
@@ -870,6 +918,22 @@ def test_cli_check_simple(capsys):
     assert data["simplicity"]["witness"]
 
 
+def test_cli_check_simple_ignores_trace_tolerance(capsys):
+    # the translate test's band takes TOL_TRACE, not --tol
+    outs = set()
+    for tol in ("0", "1e-9", "0.5"):
+        code, out, _ = run_cli(
+            capsys,
+            "check-simple",
+            fixture("figure_eight.json"),
+            "a b",
+            "--tol", tol,
+        )
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+
+
 def test_cli_check_simple_bad_word(capsys):
     code, _, err = run_cli(
         capsys,
@@ -972,18 +1036,35 @@ def write_raw_group(path, generators):
 
 
 @pytest.mark.parametrize(
-    "generators, length, stage",
+    "generators, length, prefix",
     [
-        (FUNNEL_GROUP, "4", "geodesic stream"),
-        (OVERFLOW_GROUP, "4", "word ball"),
+        (FUNNEL_GROUP, "4", "geodesic stream up to length 4"),
+        (OVERFLOW_GROUP, "4", "word ball up to length 4"),
         # the plane's spanning pair has entries near 1e200
-        (OVERFLOW_GROUP, "2", "plane test"),
-        (OVERFLOW_GROUP, "3", "plane test"),
+        (OVERFLOW_GROUP, "2", "plane test up to length 2"),
+        (OVERFLOW_GROUP, "3", "plane test up to length 3"),
+        (
+            AMBIGUOUS_GENERATOR_GROUP,
+            "4",
+            "elementary test failed: AmbiguousClass: real trace",
+        ),
+        (
+            NAN_PLANE_GROUP,
+            "1",
+            "plane test up to length 1 failed: DegeneratePoints: no three of",
+        ),
     ],
-    ids=["ambiguous_trace", "overflow", "overflow_plane_2", "overflow_plane_3"],
+    ids=[
+        "ambiguous_trace",
+        "overflow",
+        "overflow_plane_2",
+        "overflow_plane_3",
+        "ambiguous_generator",
+        "nan_plane",
+    ],
 )
 def test_cli_kernel_failures_exit_inconclusive(
-    request, tmp_path, capsys, generators, length, stage
+    request, tmp_path, capsys, generators, length, prefix
 ):
     if generators is FUNNEL_GROUP:
         # the funnel group has no such trace: classify is made to raise
@@ -1002,5 +1083,5 @@ def test_cli_kernel_failures_exit_inconclusive(
     assert code == EXIT_INCONCLUSIVE
     data = json.loads(out)
     assert data["verdict"] == "Inconclusive"
-    assert data["reason"].startswith(stage + " up to length " + length)
+    assert data["reason"].startswith(prefix)
     assert err == ""
