@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .enumeration import _cosh_half_length, conjugate_rows, enumerate_ball
+from .enumeration import _EPS, _cosh_half_length, conjugate_rows, enumerate_ball
 from .errors import OutOfRange
 from .geometry import INTERSECTION_TOL, halfturn_matrix, halfturn_separation
 from .isometry import TOL_TRACE, MoebiusIsometry
@@ -53,7 +53,6 @@ class SimplicityReport:
 
 # cosh of the intersection tolerance: translates closer than this cross
 _COSH_INTERSECTION = math.cosh(INTERSECTION_TOL)
-_EPS = float(np.finfo(float).eps)
 # roundoff bound per unit of monomial magnitude, for the trace of
 # h w h w^-1 and for the entries of w h w^-1
 _SLACK = 64 * _EPS

@@ -20,13 +20,13 @@ from .errors import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     AmbiguousClass,
-    GroupFileError,
+    BudgetExceeded,
     LoxoError,
     ParseError,
 )
 from .geometry import GeodesicLine, axis_of, circle_json, line_json
 from .halfturn import decompose, invariant_plane, shared_factorization
-from .isometry import BoundaryPoint, MoebiusIsometry, classify
+from .isometry import TOL_TRACE, BoundaryPoint, MoebiusIsometry, classify
 from .pipeline import (
     RunConfig,
     classify_manifold,
@@ -83,12 +83,28 @@ def _parse_word(group, text):
     return group.word(tuple(letters))
 
 
-def _config_from(args):
-    return RunConfig(
-        max_word_len=getattr(args, "max_word_len", 6),
-        length_cutoff=getattr(args, "cutoff", 12.0),
-        tol_trace=getattr(args, "tol", 1e-9),
-    )
+def _load(args):
+    """The group file, its warnings and the RunConfig of the parsed flags;
+    a command without --cutoff keeps RunConfig's length cutoff."""
+    group, warnings = load_group_file(args.group, args.tol)
+    cutoff = {"length_cutoff": args.cutoff} if "cutoff" in args else {}
+    config = RunConfig(max_word_len=args.max_word_len, tol_trace=args.tol, **cutoff)
+    return group, warnings, config
+
+
+class _SearchFailed(Exception):
+    """A library error of the ball or a kernel on parsed input: exit 3."""
+
+
+def _search(kernel, *args):
+    """kernel(*args), its LoxoError raised as _SearchFailed; a budget
+    overrun stays an input error, since the word bound asked for it."""
+    try:
+        return kernel(*args)
+    except BudgetExceeded:
+        raise
+    except LoxoError as exc:
+        raise _SearchFailed(exc) from exc
 
 
 def _print(data, fmt):
@@ -152,9 +168,8 @@ def _cmd_invariant_plane(args):
 
 
 def _cmd_ball(args):
-    group, warnings = load_group_file(args.group, args.tol)
-    config = _config_from(args)
-    ball = enumerate_ball(group, config.max_word_len, config.cap)
+    group, warnings, config = _load(args)
+    ball = _search(enumerate_ball, group, config.max_word_len, config.cap)
     if args.format == "text":
         lines = ["count: %d" % len(ball)] + [w.name for w in ball]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -171,10 +186,9 @@ def _cmd_ball(args):
 
 
 def _cmd_spectrum(args):
-    group, warnings = load_group_file(args.group, args.tol)
-    config = _config_from(args)
-    entries = spectrum(
-        group, config.max_word_len, config.length_cutoff, config.tol_trace
+    group, warnings, config = _load(args)
+    entries = _search(
+        spectrum, group, config.max_word_len, config.length_cutoff, config.tol_trace
     )
     if args.format == "text":
         lines = [
@@ -194,9 +208,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_shortest_screw(args):
-    group, warnings = load_group_file(args.group, args.tol)
-    config = _config_from(args)
-    entry = shortest_screw(group, config.max_word_len, config.tol_trace)
+    group, warnings, config = _load(args)
+    entry = _search(shortest_screw, group, config.max_word_len, config.tol_trace)
     data = {
         "found": entry is not None,
         "entry": entry_json(entry) if entry else None,
@@ -207,11 +220,10 @@ def _cmd_shortest_screw(args):
 
 
 def _cmd_check_simple(args):
-    group, warnings = load_group_file(args.group, args.tol)
-    config = _config_from(args)
+    group, warnings, config = _load(args)
     word = _parse_word(group, args.word)
     axis = axis_of(word.matrix, config.tol_trace)
-    report = simplicity_check(group, axis, config.max_word_len)
+    report = _search(simplicity_check, group, axis, config.max_word_len)
     data = {
         "word": word.name,
         "simplicity": simplicity_json(report),
@@ -234,8 +246,8 @@ def _cmd_cusp_depth(args):
 
 
 def _cmd_classify_manifold(args):
-    group, warnings = load_group_file(args.group, args.tol)
-    report = classify_manifold(group, _config_from(args))
+    group, warnings, config = _load(args)
+    report = classify_manifold(group, config)
     report.warnings = warnings + list(report.warnings)
     _print(report, args.format)
     return report.exit_code
@@ -248,11 +260,12 @@ def _add_matrices(sub, *names):
         )
 
 
-def _add_common(sub, word_len=False, cutoff=False):
-    sub.add_argument(
-        "--tol", type=_tolerance, default=1e-9,
-        help="trace tolerance for classification (default 1e-9)",
-    )
+def _add_common(sub, tol=True, word_len=False, cutoff=False):
+    if tol:
+        sub.add_argument(
+            "--tol", type=_tolerance, default=TOL_TRACE,
+            help="trace tolerance for classification (default %(default)g)",
+        )
     sub.add_argument(
         "--format", choices=("json", "text"), default="text",
         help="output format (default text)",
@@ -360,7 +373,7 @@ def build_parser():
         "--invert", action="store_true",
         help="treat the input as a depth and return the longest loop",
     )
-    _add_common(sub)
+    _add_common(sub, tol=False)
     sub.set_defaults(handler=_cmd_cusp_depth)
 
     sub = subs.add_parser(
@@ -379,10 +392,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except GroupFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except AmbiguousClass as exc:
+    except (AmbiguousClass, _SearchFailed) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except LoxoError as exc:

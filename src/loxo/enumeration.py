@@ -619,18 +619,10 @@ def geodesics(
             yield entry
 
 
-def spectrum(
-    group,
-    max_word_len,
-    length_cutoff=12.0,
-    tol_trace=TOL_TRACE,
-    ball=None,
-):
+def spectrum(group, max_word_len, length_cutoff=12.0, tol_trace=TOL_TRACE):
     """Rotation and translation lengths of the distinct short geodesics:
     all of geodesics, as a list."""
-    return list(
-        geodesics(group, max_word_len, length_cutoff, tol_trace, ball)
-    )
+    return list(geodesics(group, max_word_len, length_cutoff, tol_trace))
 
 
 # Screw lengths within this relative slack of the least tie.

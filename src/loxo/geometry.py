@@ -56,8 +56,8 @@ class GeodesicLine:
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p, q, tol=CHORDAL_TOL):
-        if chordal_distance(p, q) < tol:
+    def __init__(self, p, q):
+        if chordal_distance(p, q) < CHORDAL_TOL:
             raise DegeneratePoints("endpoints coincide within tolerance")
         self.p = p
         self.q = q
@@ -123,13 +123,13 @@ class BoundaryCircle:
     """Oriented circle on the sphere, stored as a normalized Hermitian form.
 
     The locus is A z zbar + B zbar + conj(B) z + C = 0 scaled so that
-    |B|^2 - A C = 1.  The oriented form is orientation * (A, B, C); negating
-    the triple and the flag together names the same oriented circle.
+    |B|^2 - A C = 1.  The sign of (A, B, C) is the orientation: negating the
+    triple names the same circle with the opposite orientation.
     """
 
-    __slots__ = ("a", "b", "c", "orientation")
+    __slots__ = ("a", "b", "c")
 
-    def __init__(self, a, b, c, orientation=1):
+    def __init__(self, a, b, c):
         a = float(a)
         b = complex(b)
         c = float(c)
@@ -140,15 +140,9 @@ class BoundaryCircle:
         self.a = a * scale
         self.b = b * scale
         self.c = c * scale
-        self.orientation = 1 if orientation >= 0 else -1
 
     def signed_triple(self):
-        o = self.orientation
-        return (o * self.a, o * self.b, o * self.c)
-
-    @property
-    def is_line(self):
-        return abs(self.a) <= 1e-12
+        return (self.a, self.b, self.c)
 
     def evaluate(self, p):
         """Oriented homogeneous value at a boundary point; zero on the circle,
@@ -163,15 +157,10 @@ class BoundaryCircle:
         return raw / (abs(p.z) ** 2 + abs(p.w) ** 2)
 
     def flip(self):
-        return BoundaryCircle(self.a, self.b, self.c, -self.orientation)
+        return BoundaryCircle(-self.a, -self.b, -self.c)
 
     def __repr__(self):
-        return "BoundaryCircle(a=%g, b=%r, c=%g, orientation=%+d)" % (
-            self.a,
-            self.b,
-            self.c,
-            self.orientation,
-        )
+        return "BoundaryCircle(a=%g, b=%r, c=%g)" % (self.a, self.b, self.c)
 
 
 def same_circle(c1, c2, tol=PLANE_TOL):
@@ -209,7 +198,7 @@ def standardizing_map(p1, p2, p3):
     return MoebiusIsometry(a / s, b / s, c / s, d / s)
 
 
-def circle_through(p1, p2, p3, tol=CHORDAL_TOL):
+def circle_through(p1, p2, p3):
     """Unique circle through three distinct boundary points.
 
     Each point imposes one real linear condition on (A, Re B, Im B, C); the
@@ -224,7 +213,7 @@ def circle_through(p1, p2, p3, tol=CHORDAL_TOL):
             raise DegeneratePoints("point %r is not finite" % (p,))
     for i in range(3):
         for j in range(i + 1, 3):
-            if same_point(pts[i], pts[j], tol):
+            if same_point(pts[i], pts[j]):
                 raise DegeneratePoints("repeated point for circle_through")
     rows = []
     for p in pts:
@@ -242,7 +231,7 @@ def circle_through(p1, p2, p3, tol=CHORDAL_TOL):
         standardizing_map(p1, p2, p3).inverse(), BoundaryPoint.from_complex(1j)
     )
     if circle.evaluate(probe) < 0.0:
-        circle = BoundaryCircle(-circle.a, -circle.b, -circle.c)
+        circle = circle.flip()
     return circle
 
 
@@ -274,36 +263,36 @@ def preserves_circle(m, circle, tol=PLANE_TOL):
     return same_oriented_circle(transform_circle(m, circle), circle, tol)
 
 
-def coplanar_plane(l1, l2, tol=CHORDAL_TOL):
+def coplanar_plane(l1, l2):
     """Circle through all four endpoints, or None when the lines are skew.
 
     Lines sharing an endpoint are always coplanar.  Identical lines bound no
     unique plane and are rejected.
     """
-    if same_line(l1, l2, tol):
+    if same_line(l1, l2):
         raise IdenticalLines("coplanar_plane needs two distinct lines")
     points = [l1.p, l1.q]
     for candidate in l2.endpoints():
-        if not any(same_point(candidate, known, tol) for known in points):
+        if not any(same_point(candidate, known) for known in points):
             points.append(candidate)
     if len(points) == 3:
         return circle_through(*points)
     circle = circle_through(points[0], points[1], points[2])
-    if on_circle(points[3], circle, tol):
+    if on_circle(points[3], circle):
         return circle
     return None
 
 
-def common_perpendicular(l1, l2, tol=CHORDAL_TOL):
+def common_perpendicular(l1, l2):
     """The unique geodesic meeting both lines at right angles.
 
     The product of the half-turns about l1 and l2 translates or rotates
     exactly along that perpendicular, so its fixed points name it.  Lines
     sharing an ideal endpoint admit no common perpendicular.
     """
-    if same_line(l1, l2, tol):
+    if same_line(l1, l2):
         raise IdenticalLines("identical lines have no unique perpendicular")
-    if shares_endpoint(l1, l2, tol):
+    if shares_endpoint(l1, l2):
         raise SharedEndpoint("lines meet at infinity")
     product = halfturn_matrix(l1) * halfturn_matrix(l2)
     perp = GeodesicLine(*fixed_points(product))
@@ -342,16 +331,16 @@ class GeodesicSeparation:
         )
 
 
-def geodesic_separation(l1, l2, tol=CHORDAL_TOL):
+def geodesic_separation(l1, l2):
     """Mutual position of two distinct geodesics.
 
     Half of the complex length of the half-turn product: translation part
     twice the distance, rotation part twice the angle.  Computed distances
     under INTERSECTION_TOL collapse to an exact zero crossing report.
     """
-    if same_line(l1, l2, tol):
+    if same_line(l1, l2):
         raise IdenticalLines("separation of a line from itself")
-    if shares_endpoint(l1, l2, tol):
+    if shares_endpoint(l1, l2):
         return GeodesicSeparation(0.0, 0.0)
     return halfturn_separation(halfturn_matrix(l1), halfturn_matrix(l2))
 
@@ -392,5 +381,6 @@ def circle_json(circle):
         "coefficient_a": circle.a,
         "coefficient_b": [circle.b.real, circle.b.imag],
         "coefficient_c": circle.c,
-        "orientation": circle.orientation,
+        # the sign of the coefficients carries the orientation
+        "orientation": 1,
     }

@@ -34,7 +34,6 @@ from .geometry import (
     transform_line,
 )
 from .isometry import (
-    CHORDAL_TOL,
     TOL_TRACE,
     BoundaryPoint,
     MoebiusIsometry,
@@ -250,17 +249,16 @@ def _dedupe_points(points):
     return kept
 
 
-def _verified(circle, points, alpha, beta, tol):
+def _verified(circle, points, alpha, beta):
     if circle is None:
         return False
-    if not all(on_circle(p, circle, tol) for p in points):
+    # anchor points are checked at the plane tolerance, not on_circle's default
+    if not all(on_circle(p, circle, PLANE_TOL) for p in points):
         return False
-    return preserves_circle(alpha, circle, tol) and preserves_circle(
-        beta, circle, tol
-    )
+    return preserves_circle(alpha, circle) and preserves_circle(beta, circle)
 
 
-def invariant_plane(alpha, beta, tol_trace=TOL_TRACE, tol=PLANE_TOL):
+def invariant_plane(alpha, beta, tol_trace=TOL_TRACE):
     """Oriented circle preserved by alpha, beta, and hence all their words.
 
     Soundness requires alpha, beta and alpha beta to be non-screw motions
@@ -289,7 +287,7 @@ def invariant_plane(alpha, beta, tol_trace=TOL_TRACE, tol=PLANE_TOL):
     anchor_points = _dedupe_points(anchor_points)
     if len(anchor_points) >= 3:
         circle = circle_through(*_spread_triple(anchor_points))
-        if _verified(circle, anchor_points, alpha, beta, tol):
+        if _verified(circle, anchor_points, alpha, beta):
             return circle
 
     factorization = shared_factorization(alpha, beta, tol_trace)
@@ -298,7 +296,7 @@ def invariant_plane(alpha, beta, tol_trace=TOL_TRACE, tol=PLANE_TOL):
         endpoints.extend(axis.endpoints())
     endpoints = _dedupe_points(endpoints)
     circle = circle_through(*_spread_triple(endpoints))
-    if not _verified(circle, endpoints, alpha, beta, tol):
+    if not _verified(circle, endpoints, alpha, beta):
         raise PlaneVerificationFailed(
             "no oriented circle survived the preservation check"
         )

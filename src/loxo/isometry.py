@@ -367,9 +367,6 @@ class ComplexLength:
         self.length = float(length)
         self.angle = float(angle)
 
-    def as_complex(self):
-        return complex(self.length, self.angle)
-
     def __repr__(self):
         return "ComplexLength(%g, %g)" % (self.length, self.angle)
 
@@ -411,14 +408,6 @@ class IsometryClass:
         self.kind = kind
         self.length = length
         self.angle = angle
-
-    @property
-    def is_screw(self):
-        return self.kind == SCREW
-
-    @property
-    def is_loxodromic(self):
-        return self.kind in (HYPERBOLIC, SCREW)
 
     def __eq__(self, other):
         if isinstance(other, str):

@@ -1085,3 +1085,46 @@ def test_cli_kernel_failures_exit_inconclusive(
     assert data["verdict"] == "Inconclusive"
     assert data["reason"].startswith(prefix)
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ball"], ["spectrum"], ["shortest-screw"], ["check-simple", "a"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_ball_commands_exit_inconclusive_on_overflow(
+    tmp_path, capsys, argv
+):
+    # the ball of NAN_PLANE_GROUP overflows at length 3: a failure of the
+    # search, not of the input, as classify-manifold reports it
+    path = tmp_path / "group.json"
+    write_raw_group(path, NAN_PLANE_GROUP)
+    code, out, err = run_cli(
+        capsys, argv[0], str(path), *argv[1:], "--max-word-len", "3"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.startswith("error: entries")
+    assert "are not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check-simple", fixture("thrice_punctured.json"), "a"],
+            "parabolic input has no axis",
+        ),
+        (
+            ["classify-element", "--matrix", "1", "0", "2", "0", "0.5", "0",
+             "1", "0"],
+            "too close to zero",
+        ),
+    ],
+    ids=["parabolic_word", "singular_matrix"],
+)
+def test_cli_input_library_errors_exit_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert message in err
