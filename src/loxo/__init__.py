@@ -11,7 +11,6 @@ turns a generating set into a verdict with evidence.
 from .certification import (
     SimplicityReport,
     cusp_depth,
-    margulis_filter,
     max_parabolic_length_at_depth,
     simplicity_check,
 )
@@ -62,7 +61,6 @@ from .geometry import (
     axis_of,
     circle_through,
     common_perpendicular,
-    coplanar_plane,
     cross_ratio,
     geodesic_separation,
     halfturn_matrix,

@@ -172,13 +172,6 @@ def simplicity_check(group, axis, max_word_len, ball=None):
     return SimplicityReport("simple_up_to_bound", tube_radius_lower=closest / 2.0)
 
 
-def margulis_filter(entries, epsilon=0.1):
-    """Spectrum entries shorter than the chosen thinness threshold."""
-    if epsilon <= 0:
-        raise OutOfRange("threshold must be positive, got %r" % (epsilon,))
-    return [e for e in entries if e.length < epsilon]
-
-
 def cusp_depth(delta):
     """Depth at which horoball loops of length delta shrink to length one.
 

@@ -14,7 +14,13 @@ from .certification import (
     max_parabolic_length_at_depth,
     simplicity_check,
 )
-from .enumeration import enumerate_ball, shortest_screw, spectrum
+from .enumeration import (
+    DEFAULT_CUTOFF,
+    DEFAULT_WORD_LEN,
+    enumerate_ball,
+    shortest_screw,
+    spectrum,
+)
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -272,13 +278,13 @@ def _add_common(sub, tol=True, word_len=False, cutoff=False):
     )
     if word_len:
         sub.add_argument(
-            "--max-word-len", type=int, default=6,
-            help="word length bound for the ball (default 6)",
+            "--max-word-len", type=int, default=DEFAULT_WORD_LEN,
+            help="word length bound for the ball (default %(default)s)",
         )
     if cutoff:
         sub.add_argument(
-            "--cutoff", type=_finite_float, default=12.0,
-            help="drop geodesics longer than this (default 12.0)",
+            "--cutoff", type=_finite_float, default=DEFAULT_CUTOFF,
+            help="drop geodesics longer than this (default %(default)s)",
         )
 
 

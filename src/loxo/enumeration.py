@@ -11,10 +11,11 @@ The ball keeps its words' entries as one (N, 4) complex array, built a level
 at a time in numpy, with each word's prefix row and last letter; a word
 object is built only when it is read.  The surveys built on the ball (the
 length spectrum and the shortest screw motion) screen that array in one
-pass, run the scalar tests on the matrices of the rows the screen cannot
-decide, and build words only for what they return.  The preserved-plane
-test decides screws from the traces of the generator products, not from
-the ball, and reads the ball only for a hyperbolic pair to span the plane.
+pass, whose kind of a row is final: the scalar classify runs only on the
+rows the screen cannot decide, and words are built only for what the
+surveys return.  The preserved-plane test decides screws from the traces
+of the generator products, not from the ball, and reads the ball only for
+a hyperbolic pair to span the plane.
 """
 
 import heapq
@@ -47,6 +48,9 @@ from .isometry import (
 )
 
 MERGE_TOL = 1e-9
+# defaults of the word bound, the length cutoff and the ball's element budget
+DEFAULT_WORD_LEN = 6
+DEFAULT_CUTOFF = 12.0
 DEFAULT_CAP = 10**7
 
 _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -65,10 +69,18 @@ def _keys(rows):
     return np.abs(rows.view(np.float64) @ _WEIGHTS)
 
 
-def _scale(rows):
-    """Largest |coordinate| of an (n, 4) complex array, without a copy."""
+def _window(rows):
+    """Half-width of a key window around each of the complex rows that
+    holds the key of every row within MERGE_TOL of it.
+
+    With scale the largest |coordinate| of rows (taken without a copy), it
+    is _WEIGHT_SUM * (MERGE_TOL + 1e-14 * (scale + MERGE_TOL)): a row within
+    MERGE_TOL has no coordinate above scale + MERGE_TOL, and the 1e-14 term
+    exceeds the roundoff of both projections at that size.
+    """
     coords = rows.view(np.float64)
-    return max(float(coords.max(initial=0.0)), -float(coords.min(initial=0.0)))
+    scale = max(float(coords.max(initial=0.0)), -float(coords.min(initial=0.0)))
+    return _WEIGHT_SUM * (MERGE_TOL + 1e-14 * (scale + MERGE_TOL))
 
 
 def _ranges(lo, hi):
@@ -109,13 +121,13 @@ class MatrixStore:
 
     ``rows`` holds the stored rows in the order they were added; only their
     keys |projection| and row numbers are kept sorted.  A lookup confirms
-    with psl_distance only the rows whose keys lie in a window of half-width
-    _WEIGHT_SUM * (MERGE_TOL + 1e-14 * scale), scale the largest coordinate
-    seen; the 1e-14 term exceeds the roundoff of both projections, so no
-    row within MERGE_TOL falls outside the window.
+    with psl_distance only the rows whose keys lie in the _window of the
+    probe's largest coordinate (find) or of the added batch's (add_rows),
+    so no row within MERGE_TOL falls outside it, however large the other
+    stored rows are.
     """
 
-    __slots__ = ("rows", "_keys", "_numbers", "_scale")
+    __slots__ = ("rows", "_keys", "_numbers")
 
     def __init__(self, rows=None):
         self.rows = np.ascontiguousarray(
@@ -124,16 +136,12 @@ class MatrixStore:
         keys = _keys(self.rows)
         self._numbers = np.argsort(keys)
         self._keys = keys[self._numbers]
-        self._scale = _scale(self.rows)
-
-    def _slack(self, scale):
-        return _WEIGHT_SUM * (MERGE_TOL + 1e-14 * max(self._scale, scale))
 
     def find(self, m):
         """Row number of a stored row within MERGE_TOL of m, or None."""
-        coords = np.array((m.a, m.b, m.c, m.d)).view(np.float64)
-        key = abs(float(coords @ _WEIGHTS))
-        slack = self._slack(float(np.abs(coords).max()))
+        row = np.array((m.a, m.b, m.c, m.d))
+        key = abs(float(row.view(np.float64) @ _WEIGHTS))
+        slack = _window(row)
         lo, hi = self._keys.searchsorted((key - slack, key + slack))
         for n in self._numbers[lo:hi].tolist():
             if m.psl_distance(_row_matrix(self.rows, n)) <= MERGE_TOL:
@@ -151,8 +159,7 @@ class MatrixStore:
         indices of the rows added.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
-        scale = _scale(rows)
-        slack = self._slack(scale)
+        slack = _window(rows)
         keys = _keys(rows)
         order = np.argsort(keys)
         keys = keys[order]
@@ -197,7 +204,6 @@ class MatrixStore:
         # mode "clip" takes straight into out; the default buffers a copy
         np.take(rows, kept, axis=0, out=grown[len(self.rows):], mode="clip")
         self.rows = grown
-        self._scale = max(self._scale, scale)
         return kept
 
 
@@ -426,15 +432,9 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     )
 
 
-# kind codes of _trace_kinds
+# kind codes of _trace_kinds: _KINDS[code] is classify's kind of the code
+_KINDS = ("identity", "parabolic", "elliptic", "hyperbolic", "screw")
 _IDENTITY, _PARABOLIC, _ELLIPTIC, _HYPERBOLIC, _SCREW, _UNDECIDED = range(6)
-_KIND_CODES = {
-    "identity": _IDENTITY,
-    "parabolic": _PARABOLIC,
-    "elliptic": _ELLIPTIC,
-    "hyperbolic": _HYPERBOLIC,
-    "screw": _SCREW,
-}
 _EPS = float(np.finfo(float).eps)
 
 
@@ -471,6 +471,13 @@ def _trace_kinds(entries, tol_trace):
         kinds[undecided & clear & passed] = kind
         undecided &= clear & ~passed
     return kinds
+
+
+def _kind(code, m, tol_trace):
+    """The kind of a ball row of matrix m and _trace_kinds code: the
+    screen's, and classify's only where the screen left the row undecided
+    (so only such a row can raise AmbiguousClass)."""
+    return classify(m, tol_trace).kind if code == _UNDECIDED else _KINDS[code]
 
 
 def _cosh_half_length(t):
@@ -530,7 +537,7 @@ _KEY_SLACK = 1e-9
 def geodesics(
     group,
     max_word_len,
-    length_cutoff=12.0,
+    length_cutoff=DEFAULT_CUTOFF,
     tol_trace=TOL_TRACE,
     ball=None,
 ):
@@ -551,11 +558,12 @@ def geodesics(
     the key and the cosh of complex_length's l differ by a few ulps times
     l, far inside the relative slack 1e-9.  A row's length is thus at least
     its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
-    length_cutoff are dropped; the scalar classify and complex_length run
-    on the rest in key order, a slack-wide block at a time, into a heap by
-    (length, angle, row).  The heap top is final once its length is below
-    the bound of every unread row; its word and axis are built when it is
-    popped.  ball, when given, must be an enumerate_ball result.
+    length_cutoff are dropped; the rest are read in key order, a slack-wide
+    block at a time: each keeps the screen's kind (classify runs only on a
+    row the screen left undecided) and gets its scalar complex_length, into
+    a heap by (length, angle, row).  The heap top is final once its length
+    is below the bound of every unread row; its word and axis are built
+    when it is popped.  ball, when given, must be an enumerate_ball result.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
@@ -585,7 +593,7 @@ def geodesics(
             )
             for i in rows[read:stop].tolist():
                 m = _row_matrix(entries, i)
-                kind = classify(m, tol_trace).kind
+                kind = _kind(kinds[i], m, tol_trace)
                 if kind in ("identity", "parabolic"):
                     continue
                 cl = complex_length(m, tol_trace)
@@ -619,7 +627,9 @@ def geodesics(
             yield entry
 
 
-def spectrum(group, max_word_len, length_cutoff=12.0, tol_trace=TOL_TRACE):
+def spectrum(
+    group, max_word_len, length_cutoff=DEFAULT_CUTOFF, tol_trace=TOL_TRACE
+):
     """Rotation and translation lengths of the distinct short geodesics:
     all of geodesics, as a list."""
     return list(geodesics(group, max_word_len, length_cutoff, tol_trace))
@@ -634,8 +644,11 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
 
     Lengths within a relative 1e-12 of the least tie, so that roundoff
     does not choose among equal lengths: the first tied word in shortlex
-    order wins, with its own length and angle.  ball, when given, must be
-    an enumerate_ball result; only the winner's word is built.
+    order wins, with its own length and angle.  The rows scanned are the
+    screws near the least key and the rows the trace screen left undecided
+    (classified here); each screw gets its scalar complex_length.  ball,
+    when given, must be an enumerate_ball result; only the winner's word is
+    built.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
@@ -654,19 +667,18 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     found = []
     for i in np.flatnonzero(scan).tolist():
         m = _row_matrix(entries, i)
-        cls = classify(m, tol_trace)
-        if cls.kind == "screw":
-            found.append((i, cls, m))
+        if _kind(kinds[i], m, tol_trace) == "screw":
+            found.append((i, complex_length(m, tol_trace), m))
     if not found:
         return None
-    least = min(cls.length for _, cls, _ in found)
+    least = min(cl.length for _, cl, _ in found)
     # ball rows are in shortlex order, so the first tied row wins; a length
     # that is not a number ties too, so the loop always stops
-    for i, cls, m in found:
-        if not cls.length > least * (1.0 + _TIE):
+    for i, cl, m in found:
+        if not cl.length > least * (1.0 + _TIE):
             break
     return SpectrumEntry(
-        ball[i], cls.kind, cls.length, cls.angle, axis_of(m, tol_trace)
+        ball[i], "screw", cl.length, cl.angle, axis_of(m, tol_trace)
     )
 
 
@@ -743,10 +755,7 @@ def fuchsian_test(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
         # the axis of a hyperbolic row, None for any other row
         if i not in axes:
             m = _row_matrix(entries, i)
-            hyperbolic = kinds[i] == _HYPERBOLIC or (
-                kinds[i] == _UNDECIDED
-                and classify(m, tol_trace).kind == "hyperbolic"
-            )
+            hyperbolic = _kind(kinds[i], m, tol_trace) == "hyperbolic"
             axes[i] = axis_of(m, tol_trace) if hyperbolic else None
         return axes[i]
 
@@ -860,7 +869,9 @@ class ThricePuncturedSphereEvidence:
         )
 
 
-def thrice_punctured_test(group, max_word_len=6, tol_trace=TOL_TRACE, ball=None):
+def thrice_punctured_test(
+    group, max_word_len=DEFAULT_WORD_LEN, tol_trace=TOL_TRACE, ball=None
+):
     """Evidence that a rank-2 group is the standard doubly-cusped plane group.
 
     Requires a generator pair (up to inversion) where both motions and
@@ -898,7 +909,7 @@ def parabolic_generator_pair(group, tol_trace):
     return None
 
 
-def jorgensen_warnings(group, tol_trace=TOL_TRACE):
+def jorgensen_warnings(group):
     """Pairs of generators violating the discreteness trace inequality.
 
     The inequality |tr(A)^2 - 4| + |tr(ABA'B') - 2| >= 1 holds for every

@@ -1,8 +1,12 @@
 """Exception types shared across the library.
 
 Every failure the library reports deliberately derives from LoxoError so
-callers can catch one base class.  Input-file problems get their own branch
-(GroupFileError) because the command line maps them to a distinct exit code.
+callers can catch one base class.  Input-file problems share the branch
+GroupFileError, so that a caller can tell them from the search's errors.
+The command line exits EXIT_INCONCLUSIVE when the ball or a kernel fails
+on parsed input or a trace is ambiguous (AmbiguousClass), and
+EXIT_INPUT_ERROR on any other LoxoError, a group-file error and a budget
+overrun included.
 """
 
 # exit codes of the command line

@@ -263,26 +263,6 @@ def preserves_circle(m, circle, tol=PLANE_TOL):
     return same_oriented_circle(transform_circle(m, circle), circle, tol)
 
 
-def coplanar_plane(l1, l2):
-    """Circle through all four endpoints, or None when the lines are skew.
-
-    Lines sharing an endpoint are always coplanar.  Identical lines bound no
-    unique plane and are rejected.
-    """
-    if same_line(l1, l2):
-        raise IdenticalLines("coplanar_plane needs two distinct lines")
-    points = [l1.p, l1.q]
-    for candidate in l2.endpoints():
-        if not any(same_point(candidate, known) for known in points):
-            points.append(candidate)
-    if len(points) == 3:
-        return circle_through(*points)
-    circle = circle_through(points[0], points[1], points[2])
-    if on_circle(points[3], circle):
-        return circle
-    return None
-
-
 def common_perpendicular(l1, l2):
     """The unique geodesic meeting both lines at right angles.
 

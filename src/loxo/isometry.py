@@ -409,16 +409,6 @@ class IsometryClass:
         self.length = length
         self.angle = angle
 
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.kind == other
-        return (
-            isinstance(other, IsometryClass)
-            and self.kind == other.kind
-            and self.length == other.length
-            and self.angle == other.angle
-        )
-
     def __repr__(self):
         parts = [self.kind]
         if self.length is not None:

@@ -18,6 +18,8 @@ import math
 from .certification import simplicity_check
 from .enumeration import (
     DEFAULT_CAP,
+    DEFAULT_CUTOFF,
+    DEFAULT_WORD_LEN,
     GroupPresentation,
     SpectrumEntry,
     ThricePuncturedSphereEvidence,
@@ -31,7 +33,6 @@ from .enumeration import (
 )
 from .errors import (
     EXIT_INCONCLUSIVE,
-    EXIT_INPUT_ERROR,  # noqa: F401  (the exit codes stay importable here)
     EXIT_OK,
     BudgetExceeded,
     DuplicateLabel,
@@ -63,8 +64,8 @@ class RunConfig:
 
     def __init__(
         self,
-        max_word_len=6,
-        length_cutoff=12.0,
+        max_word_len=DEFAULT_WORD_LEN,
+        length_cutoff=DEFAULT_CUTOFF,
         tol_trace=TOL_TRACE,
         cap=DEFAULT_CAP,
     ):
@@ -211,7 +212,7 @@ def classify_manifold(group, config=None):
     """
     if config is None:
         config = RunConfig()
-    warnings = jorgensen_warnings(group, config.tol_trace)
+    warnings = jorgensen_warnings(group)
     stage = ["elementary test"]
     try:
         verdict = _verdict(group, config, stage)

@@ -11,8 +11,10 @@ import math
 import os
 import random
 
+import pytest
+
 from loxo.enumeration import GroupPresentation
-from loxo.isometry import MoebiusIsometry, BoundaryPoint
+from loxo.isometry import MoebiusIsometry
 from loxo.pipeline import load_group_file
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,20 @@ def random_classified(rng):
         rng.uniform(0.2, 4.0),
         rng.choice([-1.0, 1.0]) * rng.uniform(0.2, math.pi - 0.2),
     )
+
+
+@pytest.fixture
+def psl_distance_calls(monkeypatch):
+    """A one-item list counting the scalar psl_distance calls from here on."""
+    calls = [0]
+    psl_distance = MoebiusIsometry.psl_distance
+
+    def counted(m, other):
+        calls[0] += 1
+        return psl_distance(m, other)
+
+    monkeypatch.setattr(MoebiusIsometry, "psl_distance", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

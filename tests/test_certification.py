@@ -5,7 +5,6 @@ import pytest
 
 from loxo.certification import (
     cusp_depth,
-    margulis_filter,
     max_parabolic_length_at_depth,
     simplicity_check,
 )
@@ -224,29 +223,23 @@ def test_simplicity_check_is_conjugation_invariant(name):
 
 
 # ---------------------------------------------------------------------------
-# margulis_filter
+# the Margulis thin part: spectrum entries shorter than 0.1
 
 
 def test_margulis_filter_keeps_short_entries():
     entries = spectrum(margulis_group(), 4)
     lengths = [e.length for e in entries]
     assert all(abs(l - 0.04 * (k + 1)) < 1e-12 for k, l in enumerate(lengths))
-    short = margulis_filter(entries, 0.1)
+    short = [e for e in entries if e.length < 0.1]
     assert [e.word.name for e in short] == ["a", "a a"]
-
-
-def test_margulis_filter_rejects_bad_threshold():
-    with pytest.raises(OutOfRange):
-        margulis_filter([], 0.0)
-    with pytest.raises(OutOfRange):
-        margulis_filter([], -0.5)
 
 
 def test_margulis_short_entries_are_simple():
     group = margulis_group()
-    for entry in margulis_filter(spectrum(group, 4), 0.1):
-        report = simplicity_check(group, entry.axis, 4)
-        assert report.is_simple
+    for entry in spectrum(group, 4):
+        if entry.length < 0.1:
+            report = simplicity_check(group, entry.axis, 4)
+            assert report.is_simple
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,22 @@ def test_store_matches_opposite_sign():
     assert store.add_rows(-matrix_rows(m)).tolist() == []
 
 
+def test_store_window_comes_from_the_probe(psl_distance_calls):
+    # a stored row of 1e13 widens no lookup of a small probe: with a window
+    # from the largest coordinate ever stored this probe confirmed 217 rows
+    rng = np.random.default_rng(0)
+    store = MatrixStore()
+    store.add_rows(
+        rng.uniform(-3, 3, (1000, 4)) + 1j * rng.uniform(-3, 3, (1000, 4))
+    )
+    large = MoebiusIsometry(1e13, 0, 0, 1e-13)
+    store.add_rows(matrix_rows(large))
+    psl_distance_calls[0] = 0
+    assert store.find(MoebiusIsometry(1, 0.5, 0, 1)) is None
+    assert psl_distance_calls[0] == 0
+    assert store.find(large) == 1000
+
+
 def bare_isometry(row):
     """The entries of row as they stand, not rescaled or re-signed."""
     m = object.__new__(MoebiusIsometry)
@@ -654,7 +670,37 @@ def test_trace_kinds_agree_with_classify(group):
     assert len(decided) > 0.9 * len(entries)
     for i in decided.tolist():
         kind = classify(bare_isometry(entries[i]), TOL_TRACE).kind
-        assert kinds[i] == loxo.enumeration._KIND_CODES[kind]
+        assert loxo.enumeration._KINDS[kinds[i]] == kind
+
+
+@pytest.mark.parametrize("name", ["figure_eight", "funnel", "torus"])
+def test_ball_kernels_keep_the_screen_kinds(monkeypatch, name):
+    # every row of these balls is decided by the screen, so the kernels
+    # give their results without the scalar classify
+    group = dict(reference_groups())[name]
+    ball = enumerate_ball(group, 6)
+    kinds = ball.trace_kinds(TOL_TRACE)
+    assert not (kinds == loxo.enumeration._UNDECIDED).any()
+
+    def run():
+        entries = list(geodesics(group, 6, ball=ball))
+        screw = shortest_screw(group, 6, ball=ball)
+        fuch = fuchsian_test(group, 6, ball=ball)
+        return (
+            [(e.word.name, e.kind, e.length, e.angle) for e in entries],
+            screw and (screw.word.name, screw.length, screw.angle),
+            fuch.verdict,
+            fuch.plane and (fuch.plane.a, fuch.plane.b, fuch.plane.c),
+        )
+
+    expected = run()
+
+    def refused(m, tol_trace):
+        raise AssertionError("classify ran on a row the screen decided")
+
+    monkeypatch.setattr(loxo.enumeration, "classify", refused)
+    assert run() == expected
+    assert expected[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,10 @@ from loxo.geometry import (
     axis_of,
     circle_through,
     common_perpendicular,
-    coplanar_plane,
     cross_ratio,
     geodesic_separation,
     halfturn_matrix,
     on_circle,
-    preserves_circle,
     same_circle,
     same_line,
     same_oriented_circle,
@@ -197,27 +195,6 @@ def test_axis_of_recovers_conjugated_axis():
         m = normalize([[2.0, 0.0], [0.0, 0.5]]).conjugate_by(g)
         want = transform_line(g, line(0.0, None))
         assert same_line(axis_of(m), want, tol=1e-6)
-
-
-def test_coplanar_plane_nested_real_intervals():
-    plane = coplanar_plane(line(-1.0, 1.0), line(-2.0, 2.0))
-    assert plane is not None
-    assert same_circle(plane, circle_through(pt(0.0), pt(1.0), INF), tol=1e-9)
-
-
-def test_coplanar_plane_skew_returns_none():
-    assert coplanar_plane(line(-1.0, 1.0), line(-2j, 1.0 + 2j)) is None
-
-
-def test_coplanar_plane_shared_endpoint():
-    plane = coplanar_plane(line(0.0, 1.0), line(0.0, 2.0))
-    assert plane is not None
-    assert on_circle(INF, plane)
-
-
-def test_coplanar_plane_identical_lines_rejected():
-    with pytest.raises(IdenticalLines):
-        coplanar_plane(line(-1.0, 1.0), line(1.0, -1.0))
 
 
 def test_common_perpendicular_vertical_and_circle():

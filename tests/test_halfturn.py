@@ -5,14 +5,12 @@ import pytest
 from loxo.errors import (
     IdentityInput,
     InvalidChoice,
-    PlaneVerificationFailed,
     ScrewInput,
     SharedFixedPoint,
 )
 from loxo.geometry import (
     GeodesicLine,
     circle_through,
-    coplanar_plane,
     on_circle,
     preserves_circle,
     same_line,
@@ -29,8 +27,8 @@ from loxo.halfturn import (
 from loxo.isometry import (
     BoundaryPoint,
     MoebiusIsometry,
-    classify,
     is_non_screw,
+    same_point,
 )
 
 from conftest import (
@@ -178,12 +176,20 @@ def test_factor_axes_coplanar_iff_non_screw():
         if kind == "identity":
             continue
         first, second = decompose(m)
-        plane = coplanar_plane(first.axis, second.axis)
+        # the four endpoints, a shared one counted once, lie on one circle
+        points = [first.axis.p, first.axis.q]
+        points += [
+            q for q in second.axis.endpoints()
+            if not any(same_point(q, p) for p in points)
+        ]
+        coplanar = len(points) == 3 or on_circle(
+            points[3], circle_through(*points[:3])
+        )
         if is_non_screw(m):
-            assert plane is not None
+            assert coplanar
             checked_plain += 1
         else:
-            assert plane is None
+            assert not coplanar
             checked_screw += 1
     assert checked_plain > 30 and checked_screw > 30
 

@@ -4,6 +4,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 import loxo.enumeration
@@ -11,6 +12,9 @@ import loxo.pipeline
 from loxo.cli import build_parser, main
 from loxo.enumeration import GroupPresentation
 from loxo.errors import (
+    EXIT_INCONCLUSIVE,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
     AmbiguousClass,
     BudgetExceeded,
     DuplicateLabel,
@@ -22,9 +26,6 @@ from loxo.errors import (
 )
 from loxo.isometry import MoebiusIsometry
 from loxo.pipeline import (
-    EXIT_INCONCLUSIVE,
-    EXIT_INPUT_ERROR,
-    EXIT_OK,
     Inconclusive,
     RunConfig,
     classify_manifold,
@@ -435,6 +436,36 @@ def test_verdicts_stop_at_the_first_certified_geodesic(monkeypatch):
         assert report.verdict.kind == "SimpleGeodesicFound"
 
 
+# Gamma(2) on the bases <a, b a> and <a, b a^3> of the thrice_punctured
+# generators a = [[1, 2], [0, 1]], b = [[1, 0], [2, 1]]
+NIELSEN_BASIS = ((1, 2, 0, 1), (1, 2, 2, 5))
+LONG_NIELSEN_BASIS = ((1, 2, 0, 1), (1, 6, 2, 13))
+
+
+def test_plane_branch_probes_few_stored_rows(psl_distance_calls):
+    # no parabolic generator pair, so every hyperbolic stream entry is
+    # checked and its half-turn probed against a translate orbit: with a
+    # window from the orbit's largest entry this made 81,486 calls
+    group = GroupPresentation([MoebiusIsometry(*m) for m in NIELSEN_BASIS])
+    report = classify_manifold(group, RunConfig(max_word_len=8))
+    assert report.verdict.kind == "Inconclusive"
+    assert psl_distance_calls[0] < 10000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the length-6 ball of this basis misses the translate that "
+    "crosses b' a' b' a' b b (ROADMAP items 1-2)",
+)
+def test_long_basis_of_gamma_2_finds_no_simple_geodesic():
+    # the paper's theorem: Gamma(2) has no simple closed geodesic
+    group = GroupPresentation(
+        [MoebiusIsometry(*m) for m in LONG_NIELSEN_BASIS]
+    )
+    report = classify_manifold(group, RunConfig(max_word_len=6))
+    assert report.verdict.kind != "SimpleGeodesicFound"
+
+
 # entries near 20^7 make the determinant of a length-7 product cancel to 0
 NEAR_SINGULAR_GROUP = (((19, 2), (9, 1)), ((1, 0), (3, 1)))
 
@@ -484,14 +515,18 @@ FUNNEL_GROUP = ((1, 2, 0, 1), (1, 0, 3, 1))
 
 @pytest.fixture
 def ambiguous_stream(monkeypatch):
-    """classify in loxo.enumeration raises AmbiguousClass once the geodesic
-    stream starts."""
+    """Once the geodesic stream starts, the trace screen leaves every ball
+    row undecided and classify in loxo.enumeration raises AmbiguousClass."""
     stream = loxo.pipeline.geodesics
+
+    def undecided(ball, tol_trace):
+        return np.full(len(ball), loxo.enumeration._UNDECIDED, dtype=np.int8)
 
     def ambiguous(m, tol_trace):
         raise AmbiguousClass("real trace %r" % (m.trace,))
 
     def geodesics(*args, **kwargs):
+        monkeypatch.setattr(loxo.enumeration.Ball, "trace_kinds", undecided)
         monkeypatch.setattr(loxo.enumeration, "classify", ambiguous)
         yield from stream(*args, **kwargs)
 
