@@ -43,6 +43,7 @@ from .isometry import (
     classify,
     complex_length,
     fixed_points,
+    letter_factors,
     product_rows,
     same_point,
 )
@@ -163,16 +164,18 @@ class MatrixStore:
         keys = _keys(rows)
         order = np.argsort(keys)
         keys = keys[order]
+        # a stored key lies in [key - slack, key + slack) exactly when the
+        # first one at or above key - slack does (inf stands for none)
         lo = self._keys.searchsorted(keys - slack)
-        hi = self._keys.searchsorted(keys + slack)
+        crowded = np.append(self._keys, np.inf)[lo] < keys + slack
         close = ~(np.diff(keys) > slack)
-        crowded = lo < hi
         crowded[:-1] |= close
         crowded[1:] |= close
         added = np.ones(len(rows), dtype=bool)
         at = np.flatnonzero(crowded)
         if at.size:
-            lo, hi = lo[at], hi[at]
+            lo = lo[at]
+            hi = self._keys.searchsorted(keys[at] + slack)
             own_lo = keys.searchsorted(keys[at] - slack)
             own_hi = keys.searchsorted(keys[at] + slack)
             # (row, stored row) pairs, then (row, earlier row of the array)
@@ -361,7 +364,7 @@ def _row_matrix(entries, i):
 
 
 # parents per numpy pass, so that a level's temporaries stay bounded
-_LEVEL_CHUNK = 2048
+_LEVEL_CHUNK = 1024
 
 
 def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
@@ -375,13 +378,13 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     overflow to a value that is not finite, raises NearSingular.
     """
     n_letters = 2 * group.rank
-    letter_rows = np.array(
+    factors = letter_factors(np.array(
         [
             (m.a, m.b, m.c, m.d)
             for m in (group.letter_matrix(l) for l in range(n_letters))
         ],
         dtype=complex,
-    ).reshape(-1, 4)
+    ).reshape(-1, 4))
     identity = MoebiusIsometry.identity()
     # the store's row 0 is the identity; ball row i is store row i + 1
     seen = MatrixStore(
@@ -394,36 +397,35 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     parents = [np.empty(0, dtype=np.intp)]
     letters = [np.empty(0, dtype=np.intp)]
     letter_index = np.arange(n_letters)
-    for length in range(1, max_word_len + 1):
-        # free reduction: no letter right after its inverse
-        allowed = letter_index[None, :] != (frontier_last ^ 1)[:, None]
-        parent_of, letter_of = np.nonzero(allowed)
-        rows = np.empty((len(parent_of), 4), dtype=complex)
-        # an overflowing product is reported as NearSingular
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing product is reported as NearSingular, not warned of
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for length in range(1, max_word_len + 1):
+            # free reduction: no letter right after its inverse
+            allowed = letter_index[None, :] != (frontier_last ^ 1)[:, None]
+            parent_of, letter_of = np.nonzero(allowed)
+            rows = np.empty((len(parent_of), 4), dtype=complex)
             for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
                 stop = start + _LEVEL_CHUNK
                 # parent_of is sorted, so the chunk's children are one run
                 lo, hi = np.searchsorted(parent_of, (start, stop))
+                coords = product_rows(frontier_rows[start:stop], factors)
                 rows[lo:hi] = canonical_rows(
-                    product_rows(frontier_rows[start:stop], letter_rows)[
-                        allowed[start:stop]
-                    ]
+                    coords[allowed[start:stop]].view(complex)
                 )
-        kept = seen.add_rows(rows)
-        # the candidates go before the next level's are built
-        del rows
-        parents.append(offset + parent_of[kept])
-        letters.append(letter_of[kept])
-        offset = len(seen.rows) - 1 - len(kept)
-        if len(seen.rows) - 1 > cap:
-            raise BudgetExceeded(
-                "ball exceeds %d elements at radius %d" % (cap, length)
-            )
-        if not len(kept):
-            break
-        frontier_rows = seen.rows[-len(kept):]
-        frontier_last = letters[-1]
+            kept = seen.add_rows(rows)
+            # the candidates go before the next level's are built
+            del rows
+            parents.append(offset + parent_of[kept])
+            letters.append(letter_of[kept])
+            offset = len(seen.rows) - 1 - len(kept)
+            if len(seen.rows) - 1 > cap:
+                raise BudgetExceeded(
+                    "ball exceeds %d elements at radius %d" % (cap, length)
+                )
+            if not len(kept):
+                break
+            frontier_rows = seen.rows[-len(kept):]
+            frontier_last = letters[-1]
     return Ball(
         seen.rows[1:],
         np.concatenate(parents),
@@ -879,10 +881,21 @@ def thrice_punctured_test(
     from real generator-product traces.  Returns None when any ingredient
     is missing; the pair is sought first, so a group without one never
     reaches fuchsian_test.
+
+    The plane is spanned by the first hyperbolic pair of ball, by default
+    the ball of length min(max_word_len, 2).  A non-elementary group with
+    the cusp pattern has the traces (+-2, +-2, -+2) of Gamma(2) and is
+    conjugate to it; its words of length 2 hold two hyperbolic words with
+    distinct axes (a b and a' b', or a b' and a' b), and the first
+    hyperbolic word's first partner lies among them.  The ball of length 2
+    is the first rows of any longer ball, bit for bit, so a longer ball
+    gives the same pair and the same plane.
     """
     pair = parabolic_generator_pair(group, tol_trace)
     if pair is None:
         return None
+    if ball is None:
+        ball = enumerate_ball(group, min(max_word_len, 2))
     result = fuchsian_test(group, max_word_len, tol_trace, ball=ball)
     if result.verdict != "all_non_screw_with_plane":
         return None
@@ -893,18 +906,23 @@ def parabolic_generator_pair(group, tol_trace):
     """Generator words (u, v), up to inversion, with u, v and u v parabolic.
 
     This is the cusp pattern of the doubly-cusped plane group; None when the
-    group does not have rank 2 or no such pair exists.
+    group does not have rank 2, when a generator product has a non-real
+    trace (so that no product is classified for a screw group), or when no
+    such pair exists.  The words a and b are classified once each (a' and
+    b' have the same traces), then the products of the pairs (a, b), (a,
+    b'), (a', b) and (a', b') in turn.
     """
-    if group.rank != 2:
+    if group.rank != 2 or _character_screw(group, tol_trace) is not None:
         return None
-    for i in (0, 1):
-        for j in (2, 3):
-            u = group.word((i,))
-            v = group.word((j,))
-            if all(
-                classify(m, tol_trace).kind == "parabolic"
-                for m in (u.matrix, v.matrix, u.matrix * v.matrix)
-            ):
+    words = [group.word((letter,)) for letter in range(4)]
+    if any(
+        classify(words[i].matrix, tol_trace).kind != "parabolic"
+        for i in (0, 2)
+    ):
+        return None
+    for u in words[:2]:
+        for v in words[2:]:
+            if classify(u.matrix * v.matrix, tol_trace).kind == "parabolic":
                 return u, v
     return None
 

@@ -12,6 +12,8 @@ be chained through a shared middle axis, and the resulting three axes span a
 single plane whose boundary circle every word of the pair preserves.
 """
 
+import itertools
+
 from .errors import (
     DegeneratePoints,
     IdentityInput,
@@ -224,18 +226,16 @@ def _spread_triple(points):
     DegeneratePoints when no three have a gap that is a number."""
     best = None
     best_gap = -1.0
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                gap = min(
-                    chordal_distance(points[i], points[j]),
-                    chordal_distance(points[i], points[k]),
-                    chordal_distance(points[j], points[k]),
-                )
-                if gap > best_gap:
-                    best_gap = gap
-                    best = (points[i], points[j], points[k])
+    # each pair is measured once
+    distance = {
+        (i, j): chordal_distance(points[i], points[j])
+        for i, j in itertools.combinations(range(len(points)), 2)
+    }
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        gap = min(distance[i, j], distance[i, k], distance[j, k])
+        if gap > best_gap:
+            best_gap = gap
+            best = (points[i], points[j], points[k])
     if best is None:
         raise DegeneratePoints("no three of %r lie apart" % (points,))
     return best

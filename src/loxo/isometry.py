@@ -162,7 +162,8 @@ def normalize(matrix):
 
 # Relative margin of a numpy decision against the scalar code it repeats:
 # a quantity tested against a threshold is computed with a hypot, which
-# another libm may round otherwise; within the margin the scalar code runs.
+# another libm may round otherwise, or as a square, which rounds otherwise
+# than a hypot; within the margin the scalar code runs.
 _MARGIN = 1e-9
 
 
@@ -174,37 +175,59 @@ _FLOAT_TIMES_COMPLEX_WIDENS = (
 )
 
 
-# Slots (i, j, k, l) of the product entries parent[i] * letter[j] +
-# parent[k] * letter[l], for the entries a, b, c, d in turn.
-_I, _J, _K, _L = (
-    np.array(slots)
-    for slots in ((0, 0, 2, 2), (0, 1, 0, 1), (1, 1, 3, 3), (2, 3, 2, 3))
-)
+def _product_terms():
+    """Gather tables of a product's eight coordinates (Re a, Im a, ...,
+    Im d) as four terms each.
 
-
-def product_rows(parents, letters):
-    """Row (p, l) of p * l for every parent row p and letter row l.
-
-    All four entries are formed in one broadcast over (slot, letter,
-    parent), so the long parent axis is the inner loop.  Real and imaginary
-    parts are formed as CPython's complex product and sum form them
-    (numpy's own complex multiply may differ in the last bit), so each
-    entry equals MoebiusIsometry.__mul__'s before normalization; the real
-    parts are formed, and freed, before the imaginary parts.
+    Coordinate o of p * l is the sum over t of p[parent[t, o]] times
+    l[letter[t, o]] * sign[t, o], summed as (t0 + t1) + (t2 + t3): the
+    real part of an entry p_r0 l_0s + p_r1 l_1s is (x u - y v) + (x' u' -
+    y' v') in CPython's complex product and sum, and x u - y v = x u + y
+    (-v) exactly.
     """
-    p_re, p_im = parents.real.T, parents.imag.T
-    l_re, l_im = letters.real.T[:, :, None], letters.imag.T[:, :, None]
-    pi_re, pi_im = p_re[_I, None, :], p_im[_I, None, :]
-    pk_re, pk_im = p_re[_K, None, :], p_im[_K, None, :]
-    lj_re, lj_im, ll_re, ll_im = l_re[_J], l_im[_J], l_re[_L], l_im[_L]
-    out = np.empty(parents.shape[:1] + letters.shape[:1] + (4,), dtype=complex)
-    out.real[:] = (
-        (pi_re * lj_re - pi_im * lj_im) + (pk_re * ll_re - pk_im * ll_im)
-    ).T
-    out.imag[:] = (
-        (pi_re * lj_im + pi_im * lj_re) + (pk_re * ll_im + pk_im * ll_re)
-    ).T
-    return out
+    parent = np.empty((4, 8), dtype=np.intp)
+    letter = np.empty((4, 8), dtype=np.intp)
+    sign = np.ones((4, 8))
+    for r in (0, 1):
+        for s in (0, 1):
+            o = 2 * (2 * r + s)
+            # coordinates of the entries (r, 0), (r, 1) of p and (0, s),
+            # (1, s) of l
+            p0, p1, l0, l1 = 4 * r, 4 * r + 2, 2 * s, 2 * s + 4
+            parent[:, o] = parent[:, o + 1] = (p0, p0 + 1, p1, p1 + 1)
+            letter[:, o] = (l0, l0 + 1, l1, l1 + 1)
+            letter[:, o + 1] = (l0 + 1, l0, l1 + 1, l1)
+            sign[:, o] = (1.0, -1.0, 1.0, -1.0)
+    return parent, letter, sign
+
+
+_PRODUCT_PARENT, _PRODUCT_LETTER, _PRODUCT_SIGN = _product_terms()
+
+
+def letter_factors(letters):
+    """The factors of product_rows for an (n, 4) complex array of letter
+    rows: l[letter[t, o]] * sign[t, o], as a (4, n, 8, 1) array."""
+    coords = np.ascontiguousarray(letters, dtype=complex).view(np.float64)
+    factors = coords[:, _PRODUCT_LETTER] * _PRODUCT_SIGN
+    return np.ascontiguousarray(factors.transpose(1, 0, 2)[..., None])
+
+
+def product_rows(parents, factors):
+    """Coordinates of p * l for every parent row p and letter l, as an
+    (n_parents, n_letters, 8) float view.
+
+    parents is a C-contiguous (n, 4) complex array and factors the
+    letter_factors of the letter rows.  One gather, one multiply and three
+    adds over (term, letter, coordinate, parent), the long parent axis
+    innermost, form each coordinate as CPython's complex product and sum
+    form it (numpy's own complex multiply may differ in the last bit), so
+    each entry equals MoebiusIsometry.__mul__'s before normalization.
+    """
+    terms = parents.view(np.float64).T[_PRODUCT_PARENT][:, None] * factors
+    terms[0] += terms[1]
+    terms[2] += terms[3]
+    terms[0] += terms[2]
+    return terms[0].transpose(2, 0, 1)
 
 
 def _principal_sqrt(re, im):
@@ -221,61 +244,80 @@ def _quotient(re, im, s_re, s_im):
     """(re + i im) / (s_re + i s_im) as CPython's complex division forms
     it, for a nonzero divisor."""
     by_real = np.abs(s_re) >= np.abs(s_im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, s_im / s_re, s_re / s_im)
-        denom = np.where(by_real, s_re + s_im * ratio, s_re * ratio + s_im)
-        return (
-            np.where(by_real, re + im * ratio, re * ratio + im) / denom,
-            np.where(by_real, im - re * ratio, im * ratio - re) / denom,
-        )
+    # the part of larger modulus divides, so no division is by zero
+    ratio = np.where(by_real, s_im, s_re) / np.where(by_real, s_re, s_im)
+    denom = np.where(by_real, s_re + s_im * ratio, s_re * ratio + s_im)
+    return (
+        np.where(by_real, re + im * ratio, re * ratio + im) / denom,
+        np.where(by_real, im - re * ratio, im * ratio - re) / denom,
+    )
+
+
+# Squares of the edges of the band around TOL_DET that canonical_rows
+# leaves to MoebiusIsometry
+_DET_BAND_LOW = (TOL_DET * (1.0 - _MARGIN)) ** 2
+_DET_BAND_HIGH = (TOL_DET * (1.0 + _MARGIN)) ** 2
+# Coordinates (Re a, Im a, ..., Im d) of the determinant's eight products:
+# ar dr, br cr, ar di, br ci, then ai di, bi ci, ai dr, bi cr
+_DET_LEFT = np.array([0, 2, 0, 2, 1, 3, 1, 3])
+_DET_RIGHT = np.array([6, 4, 7, 5, 7, 5, 6, 4])
 
 
 def canonical_rows(raw):
     """Rows as MoebiusIsometry would store them.
 
-    numpy repeats the constructor's float operations: the determinant, the
-    rescale by its principal square root where |det - 1| > TOL_DET, and
-    the canonical sign.  A row goes through MoebiusIsometry itself when
-    |det - 1| or |det| lies within _MARGIN of TOL_DET, when it is not
-    finite, or when its trace is within SIGN_TOL of zero.  Its NearSingular
-    propagates, and a row that comes out not finite (an overflowing
-    product) raises one too.
+    raw is a C-contiguous (n, 4) complex array.  numpy repeats the
+    constructor's float operations: the determinant (ar dr - ai di) - (br
+    cr - bi ci) and (ar di + ai dr) - (br ci + bi cr), the rescale by its
+    principal square root where |det - 1| > TOL_DET, and the canonical
+    sign.  A row goes through MoebiusIsometry itself when |det - 1| or
+    |det| lies within _MARGIN of TOL_DET, when it is not finite, or when
+    its trace is within SIGN_TOL of zero.  Its NearSingular propagates, and
+    a row that comes out not finite (an overflowing product) raises one
+    too.  The bands are decided on squared moduli, whose relative error of
+    a few eps lies far inside _MARGIN, so a row decided here gets the
+    constructor's decision.  A caller that may pass rows that overflow
+    silences numpy's floating-point warnings.
     """
-    re, im = raw.real, raw.imag
-    ar, ai, br, bi, cr, ci, dr, di = (
-        part[:, n] for n in range(4) for part in (re, im)
-    )
-    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
-    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
-    with np.errstate(invalid="ignore", over="ignore"):
-        size = np.hypot(det_re, det_im)
-        off = np.hypot(det_re - 1.0, det_im)
+    coords = raw.view(np.float64)
+    # one row per product, so that each pass runs along the rows
+    terms = coords.T[_DET_LEFT] * coords.T[_DET_RIGHT]
+    terms[0:2] -= terms[4:6]
+    terms[2:4] += terms[6:8]
+    # rows det_re, det_im
+    det = terms[0:4:2] - terms[1:4:2]
+    squares = det * det
+    size = squares[0] + squares[1]
+    off = det[0] - 1.0
+    off *= off
+    off += squares[1]
     # det_re takes a product of each of the eight coordinates, so a row
-    # that is not finite has a determinant of size inf or nan
+    # that is not finite has a determinant of size inf or nan (as has a
+    # row whose |det| squared overflows)
     scalar = ~(
-        (size > TOL_DET * (1.0 + _MARGIN))
+        (size > _DET_BAND_HIGH)
         & (size < np.inf)
-        & (np.abs(off - TOL_DET) > _MARGIN * TOL_DET)
+        & ((off > _DET_BAND_HIGH) | (off < _DET_BAND_LOW))
     )
-    rescale = np.flatnonzero((off > TOL_DET) & ~scalar)
+    rescale = np.flatnonzero((off > _DET_BAND_HIGH) & ~scalar)
+    rows = raw
     if rescale.size:
-        re, im = re.copy(), im.copy()
-        s_re, s_im = _principal_sqrt(det_re[rescale], det_im[rescale])
-        re[rescale], im[rescale] = _quotient(
-            re[rescale], im[rescale], s_re[:, None], s_im[:, None]
+        rows = raw.copy()
+        moved = coords[rescale]
+        s_re, s_im = _principal_sqrt(det[0, rescale], det[1, rescale])
+        moved[:, 0::2], moved[:, 1::2] = _quotient(
+            moved[:, 0::2], moved[:, 1::2], s_re[:, None], s_im[:, None]
         )
-    tr, ti = re[:, 0] + re[:, 3], im[:, 0] + im[:, 3]
-    by_real = np.abs(tr) > SIGN_TOL
-    scalar |= ~(by_real | (np.abs(ti) > SIGN_TOL))
-    s = np.where(by_real, np.where(tr > 0.0, 1.0, -1.0),
-                 np.where(ti > 0.0, 1.0, -1.0))[:, None]
-    rows = np.empty_like(raw)
+        rows.view(np.float64)[rescale] = moved
+    t = rows[:, 0] + rows[:, 3]
+    by_real = np.abs(t.real) > SIGN_TOL
+    scalar |= ~(by_real | (np.abs(t.imag) > SIGN_TOL))
+    s = np.copysign(1.0, np.where(by_real, t.real, t.imag))[:, None]
     if _FLOAT_TIMES_COMPLEX_WIDENS:
-        rows.real[:] = s * re - 0.0 * im
-        rows.imag[:] = s * im + 0.0 * re
+        # numpy multiplies each entry by s + 0j, as this interpreter does
+        rows = rows * s
     else:
-        rows.real[:] = s * re
-        rows.imag[:] = s * im
+        rows = (rows.view(np.float64) * s).view(complex)
     for i in np.flatnonzero(scalar).tolist():
         m = MoebiusIsometry(*raw[i].tolist())
         rows[i] = (m.a, m.b, m.c, m.d)

@@ -233,6 +233,18 @@ def _verdict(group, config, stage):
     elem = elementary_test(group, tol_trace)
     if elem.verdict == "limit_points_0_or_1":
         return Elementary("0_or_1")
+    if elem.verdict == "non_elementary":
+        stage[0] = "plane test" + bound
+        pair = parabolic_generator_pair(group, tol_trace)
+        if pair is not None:
+            # the cusp pattern's plane is spanned by words of length 2 (see
+            # thrice_punctured_test), so its evidence needs no deeper ball
+            stage[0] = "word ball" + bound
+            short = enumerate_ball(group, min(length, 2), config.cap)
+            stage[0] = "plane test" + bound
+            fuch = fuchsian_test(group, length, tol_trace, ball=short)
+            if fuch.verdict == "all_non_screw_with_plane":
+                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
     stage[0] = "word ball" + bound
     ball = enumerate_ball(group, length, config.cap)
 
@@ -262,9 +274,6 @@ def _verdict(group, config, stage):
         stage[0] = "plane test" + bound
         fuch = fuchsian_test(group, length, tol_trace, ball=ball)
         if fuch.verdict == "all_non_screw_with_plane":
-            pair = parabolic_generator_pair(group, tol_trace)
-            if pair is not None:
-                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
             candidates = stream("hyperbolic")
             first = next(candidates, None)
             if first is None:

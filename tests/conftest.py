@@ -11,8 +11,11 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 
+import loxo.enumeration
+import loxo.pipeline
 from loxo.enumeration import GroupPresentation
 from loxo.isometry import MoebiusIsometry
 from loxo.pipeline import load_group_file
@@ -73,6 +76,27 @@ def random_classified(rng):
         rng.uniform(0.2, 4.0),
         rng.choice([-1.0, 1.0]) * rng.uniform(0.2, math.pi - 0.2),
     )
+
+
+def bits(values):
+    """The bit patterns of complex values, for comparisons bit for bit."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.fixture
+def ball_lengths(monkeypatch):
+    """The word bounds of the enumerate_ball calls from here on, made in
+    loxo.enumeration or loxo.pipeline."""
+    lengths = []
+    build = loxo.enumeration.enumerate_ball
+
+    def recorded(group, max_word_len, *args, **kwargs):
+        lengths.append(max_word_len)
+        return build(group, max_word_len, *args, **kwargs)
+
+    monkeypatch.setattr(loxo.enumeration, "enumerate_ball", recorded)
+    monkeypatch.setattr(loxo.pipeline, "enumerate_ball", recorded)
+    return lengths
 
 
 @pytest.fixture

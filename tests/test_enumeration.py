@@ -47,6 +47,7 @@ from loxo.pipeline import load_group_file
 from conftest import (
     FIGURE_EIGHT,
     THRICE_PUNCTURED,
+    bits,
     float_groups,
     random_isometry,
     reference_groups,
@@ -330,11 +331,19 @@ def test_ball_counts_match_exact_arithmetic():
         assert level_counts(enumerate_ball(group, 9), 9) == counts
 
 
-def bits(values):
-    return np.array(values, dtype=complex).view(np.uint64).tolist()
+# a float group of rank 3, whose six letters give the product kernel a
+# letter axis longer than four
+def rank_3_group():
+    rng = seeded("rank 3 ball")
+    return GroupPresentation([random_isometry(rng, 1.5) for _ in range(3)])
 
 
-@pytest.mark.parametrize("group", REFERENCE_GROUPS[:4] + FLOAT_GROUPS)
+RANK_3_GROUP = pytest.param(rank_3_group(), id="rank_3")
+
+
+@pytest.mark.parametrize(
+    "group", REFERENCE_GROUPS[:4] + FLOAT_GROUPS + [RANK_3_GROUP]
+)
 def test_ball_entries_equal_word_products_bitwise(group):
     ball = enumerate_ball(group, 5)
     assert ball.entries.shape == (len(ball), 4)
@@ -1089,6 +1098,14 @@ def test_thrice_punctured_fixture_matches():
     assert evidence.first.name == "a"
     assert evidence.second.name == "b'"
     assert same_circle(evidence.plane, REAL_LINE)
+
+
+def test_thrice_punctured_builds_the_length_2_ball(ball_lengths):
+    group = presentation(THRICE_PUNCTURED)
+    evidence = thrice_punctured_test(group, max_word_len=8)
+    assert ball_lengths == [2]
+    full = thrice_punctured_test(group, 8, ball=enumerate_ball(group, 8))
+    assert evidence.detail() == full.detail()
 
 
 def test_thrice_punctured_rejects_screw_group():

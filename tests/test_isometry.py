@@ -1,9 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import loxo.isometry
+
 from conftest import (
+    bits,
     oracle_complex_length,
     parabolic_with,
     random_classified,
@@ -17,9 +21,11 @@ from loxo.errors import (
     UndefinedLength,
 )
 from loxo.isometry import (
+    TOL_DET,
     BoundaryPoint,
     MoebiusIsometry,
     apply_boundary,
+    canonical_rows,
     chordal_distance,
     classify,
     complex_length,
@@ -255,3 +261,70 @@ def test_parabolic_conjugates_stay_parabolic():
         m = parabolic_with(rng)
         assert classify(m).kind == "parabolic"
         assert abs(abs(m.trace.real) - 2.0) <= 1e-9
+
+
+# Rows whose |det - 1| = y (det = 1 + i y, with either sign of the trace)
+# and whose |det| = y, for y = TOL_DET (1 + r)
+def determinant_rows(r):
+    y = TOL_DET * (1.0 + r)
+    return [
+        (1.0 + 1j * y, 0.5j, 0.0, 1.0),
+        (-1.0 - 1j * y, 0.5j, 0.0, -1.0),
+        (y, 0.0, 0.0, 1.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "r, scalar_rows",
+    [(2e-10, 3), (-2e-10, 2), (2e-9, 0), (-2e-9, 0)],
+)
+def test_canonical_rows_leaves_determinant_bands_to_the_constructor(
+    monkeypatch, r, scalar_rows
+):
+    rows = determinant_rows(r)
+    if r < 0:
+        # |det| below TOL_DET: the constructor raises, and so does the row
+        with pytest.raises(NearSingular) as scalar:
+            MoebiusIsometry(*rows[2])
+        with pytest.raises(NearSingular) as numpy:
+            canonical_rows(np.array(rows[2:], dtype=complex))
+        assert str(numpy.value) == str(scalar.value)
+        rows = rows[:2]
+    expected = [MoebiusIsometry(*row) for row in rows]
+    calls = []
+
+    class Counted(MoebiusIsometry):
+        __slots__ = ()
+
+        def __init__(self, *entries):
+            calls.append(entries)
+            super().__init__(*entries)
+
+    monkeypatch.setattr(loxo.isometry, "MoebiusIsometry", Counted)
+    got = canonical_rows(np.array(rows, dtype=complex))
+    # a row within the band goes through the constructor; one just
+    # outside it is decided in numpy
+    assert len(calls) == scalar_rows
+    for row, m in zip(got, expected):
+        assert bits(row) == bits([m.a, m.b, m.c, m.d])
+
+
+def test_canonical_rows_flip_signed_zeros_as_the_constructor():
+    # a negative trace (of unit-determinant rows, then of rescaled rows
+    # with a trace of zero real part) flips the sign; the zero parts of the
+    # entries keep or lose their signs as the interpreter's float times
+    # complex does
+    zeros = (0.0, -0.0)
+    rows = [
+        (complex(-1.0, y), complex(x, -1.0), complex(x, y), complex(-1.0, x))
+        for x in zeros
+        for y in zeros
+    ] + [
+        (complex(x, 1.0), complex(0.5, y), complex(-2.0, x), complex(y, -1.5))
+        for x in zeros
+        for y in zeros
+    ]
+    got = canonical_rows(np.array(rows, dtype=complex))
+    for row, raw in zip(got, rows):
+        m = MoebiusIsometry(*raw)
+        assert bits(row) == bits([m.a, m.b, m.c, m.d])

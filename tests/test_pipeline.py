@@ -10,7 +10,12 @@ import pytest
 import loxo.enumeration
 import loxo.pipeline
 from loxo.cli import build_parser, main
-from loxo.enumeration import GroupPresentation
+from loxo.enumeration import (
+    GroupPresentation,
+    enumerate_ball,
+    jorgensen_warnings,
+    thrice_punctured_test,
+)
 from loxo.errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -27,6 +32,7 @@ from loxo.errors import (
 from loxo.isometry import MoebiusIsometry
 from loxo.pipeline import (
     Inconclusive,
+    ManifoldReport,
     RunConfig,
     classify_manifold,
     emit_report,
@@ -538,6 +544,80 @@ def test_ambiguous_group_gives_thrice_punctured_evidence():
     report = classify_manifold(group, RunConfig(max_word_len=9))
     assert report.exit_code == EXIT_OK
     assert report.verdict.kind == "ThricePuncturedSphereEvidence"
+
+
+# Gamma(2) groups with the cusp pattern: the fixture, AMBIGUOUS_GROUP (the
+# thrice_punctured conjugate of perfbench's verdict workload) and a large
+# diagonal conjugate
+def cusp_pattern_groups():
+    k = 300.0
+    return [
+        pytest.param(load_group_file(fixture("thrice_punctured.json"))[0],
+                     id="thrice_punctured"),
+        pytest.param(
+            GroupPresentation([MoebiusIsometry(*m) for m in AMBIGUOUS_GROUP]),
+            id="conjugate",
+        ),
+        pytest.param(
+            GroupPresentation([
+                MoebiusIsometry(1, 2 * k * k, 0, 1),
+                MoebiusIsometry(1, 0, 2 / (k * k), 1),
+            ]),
+            id="diagonal_conjugate",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("group", cusp_pattern_groups())
+@pytest.mark.parametrize("length", [6, 12])
+def test_cusp_pattern_evidence_builds_no_ball_past_length_2(
+    ball_lengths, group, length
+):
+    report = classify_manifold(group, RunConfig(max_word_len=length))
+    assert report.verdict.kind == "ThricePuncturedSphereEvidence"
+    assert ball_lengths == [2]
+
+
+@pytest.mark.parametrize("group", cusp_pattern_groups())
+@pytest.mark.parametrize("length", range(2, 9))
+def test_cusp_pattern_report_equals_full_ball_evidence(group, length):
+    config = RunConfig(max_word_len=length)
+    evidence = thrice_punctured_test(
+        group, length, ball=enumerate_ball(group, length)
+    )
+    assert evidence is not None
+    expected = ManifoldReport(evidence, config, jorgensen_warnings(group))
+    report = classify_manifold(group, config)
+    for fmt in ("json", "text"):
+        assert emit_report(report, fmt) == emit_report(expected, fmt)
+
+
+@pytest.mark.parametrize(
+    "kernel, stage",
+    [
+        ("parabolic_generator_pair", "plane test up to length 4"),
+        ("enumerate_ball", "word ball up to length 4"),
+        ("fuchsian_test", "plane test up to length 4"),
+    ],
+)
+def test_cusp_pattern_stages_name_their_failure(monkeypatch, kernel, stage):
+    def fail(*args, **kwargs):
+        raise NearSingular("forced")
+
+    monkeypatch.setattr(loxo.pipeline, kernel, fail)
+    group, _ = load_group_file(fixture("thrice_punctured.json"))
+    report = classify_manifold(group, RunConfig(max_word_len=4))
+    assert report.verdict.reason == stage + " failed: NearSingular: forced"
+
+
+def test_cusp_pattern_budget_below_the_short_ball_raises():
+    # the ball of length 2 holds 16 words
+    group, _ = load_group_file(fixture("thrice_punctured.json"))
+    assert classify_manifold(group, RunConfig(cap=16)).verdict.kind == (
+        "ThricePuncturedSphereEvidence"
+    )
+    with pytest.raises(BudgetExceeded):
+        classify_manifold(group, RunConfig(cap=15))
 
 
 def test_ambiguous_trace_is_inconclusive(ambiguous_stream):
