@@ -85,7 +85,6 @@ from .halfturn import (
 from .isometry import (
     BoundaryPoint,
     ComplexLength,
-    IsometryClass,
     MoebiusIsometry,
     apply_boundary,
     chordal_distance,

@@ -32,7 +32,9 @@ from .errors import (
 )
 from .geometry import GeodesicLine, axis_of, circle_json, line_json
 from .halfturn import decompose, invariant_plane, shared_factorization
-from .isometry import TOL_TRACE, BoundaryPoint, MoebiusIsometry, classify
+from .isometry import (
+    TOL_TRACE, BoundaryPoint, MoebiusIsometry, classify, complex_length,
+)
 from .pipeline import (
     RunConfig,
     classify_manifold,
@@ -119,12 +121,17 @@ def _print(data, fmt):
 
 def _cmd_classify_element(args):
     m = _matrix_from(args.matrix)
-    cls = classify(m, args.tol)
+    kind = classify(m, args.tol)
+    cl = None
+    if kind not in ("identity", "parabolic"):
+        cl = complex_length(m, args.tol)
     data = {
-        "kind": cls.kind,
+        "kind": kind,
         "trace": [m.trace.real, m.trace.imag],
-        "length": cls.length,
-        "angle": cls.angle,
+        # a length for hyperbolic and screw motions, an angle for elliptic
+        # and screw ones
+        "length": cl.length if kind in ("hyperbolic", "screw") else None,
+        "angle": cl.angle if kind in ("elliptic", "screw") else None,
     }
     _print(data, args.format)
     return EXIT_OK
@@ -144,7 +151,7 @@ def _cmd_decompose(args):
         )
     first, second = decompose(m, free_choice=free, tol_trace=args.tol)
     data = {
-        "kind": classify(m, args.tol).kind,
+        "kind": classify(m, args.tol),
         "first_axis": line_json(first.axis),
         "second_axis": line_json(second.axis),
     }
@@ -175,7 +182,7 @@ def _cmd_invariant_plane(args):
 
 def _cmd_ball(args):
     group, warnings, config = _load(args)
-    ball = _search(enumerate_ball, group, config.max_word_len, config.cap)
+    ball = _search(enumerate_ball, group, config.max_word_len)
     if args.format == "text":
         lines = ["count: %d" % len(ball)] + [w.name for w in ball]
         sys.stdout.write("\n".join(lines) + "\n")

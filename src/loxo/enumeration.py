@@ -49,7 +49,7 @@ from .isometry import (
 )
 
 MERGE_TOL = 1e-9
-# defaults of the word bound, the length cutoff and the ball's element budget
+# the word bound and length cutoff defaults, and the ball's element budget
 DEFAULT_WORD_LEN = 6
 DEFAULT_CUTOFF = 12.0
 DEFAULT_CAP = 10**7
@@ -367,7 +367,7 @@ def _row_matrix(entries, i):
 _LEVEL_CHUNK = 1024
 
 
-def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
+def enumerate_ball(group, max_word_len):
     """All distinct non-identity elements spelled by words up to the bound.
 
     Words come out in shortlex order and the surviving set is closed under
@@ -375,7 +375,8 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
     is dropped and never extended.  The result is a Ball: the entries of
     the words as one array, with each word's prefix row and last letter.
     A product that MoebiusIsometry cannot normalize, or whose entries
-    overflow to a value that is not finite, raises NearSingular.
+    overflow to a value that is not finite, raises NearSingular; a ball of
+    more than DEFAULT_CAP words raises BudgetExceeded.
     """
     n_letters = 2 * group.rank
     factors = letter_factors(np.array(
@@ -418,9 +419,10 @@ def enumerate_ball(group, max_word_len, cap=DEFAULT_CAP):
             parents.append(offset + parent_of[kept])
             letters.append(letter_of[kept])
             offset = len(seen.rows) - 1 - len(kept)
-            if len(seen.rows) - 1 > cap:
+            if len(seen.rows) - 1 > DEFAULT_CAP:
                 raise BudgetExceeded(
-                    "ball exceeds %d elements at radius %d" % (cap, length)
+                    "ball exceeds %d elements at radius %d"
+                    % (DEFAULT_CAP, length)
                 )
             if not len(kept):
                 break
@@ -479,7 +481,7 @@ def _kind(code, m, tol_trace):
     """The kind of a ball row of matrix m and _trace_kinds code: the
     screen's, and classify's only where the screen left the row undecided
     (so only such a row can raise AmbiguousClass)."""
-    return classify(m, tol_trace).kind if code == _UNDECIDED else _KINDS[code]
+    return classify(m, tol_trace) if code == _UNDECIDED else _KINDS[code]
 
 
 def _cosh_half_length(t):
@@ -805,9 +807,9 @@ def elementary_test(group, tol_trace=TOL_TRACE):
     """
     kinds = []
     for gen in group.generators:
-        cls = classify(gen, tol_trace)
-        if cls.kind != "identity":
-            kinds.append((cls.kind, gen))
+        kind = classify(gen, tol_trace)
+        if kind != "identity":
+            kinds.append((kind, gen))
     if not kinds:
         return ElementaryResult("limit_points_0_or_1")
 
@@ -916,13 +918,13 @@ def parabolic_generator_pair(group, tol_trace):
         return None
     words = [group.word((letter,)) for letter in range(4)]
     if any(
-        classify(words[i].matrix, tol_trace).kind != "parabolic"
+        classify(words[i].matrix, tol_trace) != "parabolic"
         for i in (0, 2)
     ):
         return None
     for u in words[:2]:
         for v in words[2:]:
-            if classify(u.matrix * v.matrix, tol_trace).kind == "parabolic":
+            if classify(u.matrix * v.matrix, tol_trace) == "parabolic":
                 return u, v
     return None
 

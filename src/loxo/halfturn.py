@@ -87,10 +87,10 @@ def default_free_choice(m, tol_trace=TOL_TRACE):
     Otherwise: the pullback of the unit half-circle, which crosses the axis
     at the frame midpoint.
     """
-    cls = classify(m, tol_trace)
-    if cls.kind == "identity":
+    kind = classify(m, tol_trace)
+    if kind == "identity":
         raise IdentityInput("identity admits no half-turn decomposition")
-    if cls.kind == "parabolic":
+    if kind == "parabolic":
         (fixed,) = fixed_points(m, tol_trace)
         choice = BoundaryPoint.from_complex(0.0)
         if same_point(fixed, choice):
@@ -114,12 +114,12 @@ def decompose(m, free_choice=None, tol_trace=TOL_TRACE):
     the axis of m at a right angle.  The first factor is then m times the
     chosen half-turn and is checked to be a genuine half-turn.
     """
-    cls = classify(m, tol_trace)
-    if cls.kind == "identity":
+    kind = classify(m, tol_trace)
+    if kind == "identity":
         raise IdentityInput("identity admits no half-turn decomposition")
     if free_choice is None:
         free_choice = default_free_choice(m, tol_trace)
-    if cls.kind == "parabolic":
+    if kind == "parabolic":
         if not isinstance(free_choice, BoundaryPoint):
             raise InvalidChoice(
                 "parabolic decomposition expects a boundary point"
@@ -184,15 +184,15 @@ def shared_factorization(alpha, beta, tol_trace=TOL_TRACE):
     perpendicular to the other axis in the mixed case, and the common
     perpendicular of the two axes otherwise.
     """
-    if classify(alpha, tol_trace).kind == "identity" or (
-        classify(beta, tol_trace).kind == "identity"
+    if classify(alpha, tol_trace) == "identity" or (
+        classify(beta, tol_trace) == "identity"
     ):
         raise IdentityInput("shared factorization needs non-identity inputs")
     if _fixed_point_sets_meet(alpha, beta, tol_trace):
         raise SharedFixedPoint("inputs fix a common boundary point")
 
-    alpha_parabolic = classify(alpha, tol_trace).kind == "parabolic"
-    beta_parabolic = classify(beta, tol_trace).kind == "parabolic"
+    alpha_parabolic = classify(alpha, tol_trace) == "parabolic"
+    beta_parabolic = classify(beta, tol_trace) == "parabolic"
     if alpha_parabolic and beta_parabolic:
         (p,) = fixed_points(alpha, tol_trace)
         (q,) = fixed_points(beta, tol_trace)
@@ -273,8 +273,8 @@ def invariant_plane(alpha, beta, tol_trace=TOL_TRACE):
     for m in (alpha, beta, product):
         if not is_non_screw(m, tol_trace):
             raise ScrewInput("input or product has a nonreal trace %r" % m.trace)
-    if classify(alpha, tol_trace).kind == "identity" or (
-        classify(beta, tol_trace).kind == "identity"
+    if classify(alpha, tol_trace) == "identity" or (
+        classify(beta, tol_trace) == "identity"
     ):
         raise IdentityInput("invariant plane needs non-identity inputs")
     if _fixed_point_sets_meet(alpha, beta, tol_trace):
@@ -282,7 +282,7 @@ def invariant_plane(alpha, beta, tol_trace=TOL_TRACE):
 
     anchor_points = []
     for m in (alpha, beta, product):
-        if classify(m, tol_trace).kind in ("hyperbolic", "parabolic"):
+        if classify(m, tol_trace) in ("hyperbolic", "parabolic"):
             anchor_points.extend(fixed_points(m, tol_trace))
     anchor_points = _dedupe_points(anchor_points)
     if len(anchor_points) >= 3:

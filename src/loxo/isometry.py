@@ -436,32 +436,9 @@ def complex_length(m, tol_trace=TOL_TRACE):
     return ComplexLength(length, _wrap_angle(2.0 * lam.imag))
 
 
-class IsometryClass:
-    """Tagged classification result.
-
-    kind is one of identity, parabolic, elliptic, hyperbolic, screw.  The
-    length field is set for hyperbolic and screw, the angle field for elliptic
-    (in (0, pi]) and screw (in (-pi, pi] minus zero).
-    """
-
-    __slots__ = ("kind", "length", "angle")
-
-    def __init__(self, kind, length=None, angle=None):
-        self.kind = kind
-        self.length = length
-        self.angle = angle
-
-    def __repr__(self):
-        parts = [self.kind]
-        if self.length is not None:
-            parts.append("l=%g" % self.length)
-        if self.angle is not None:
-            parts.append("theta=%g" % self.angle)
-        return "IsometryClass(%s)" % ", ".join(parts)
-
-
 def classify(m, tol_trace=TOL_TRACE):
-    """Classify a canonical representative by its trace.
+    """The kind of a canonical representative, from its trace: one of
+    identity, parabolic, elliptic, hyperbolic, screw.
 
     Trace within tol of +-2 is parabolic and that ball takes precedence, so
     conjugation roundoff never pushes a true parabolic across the boundary.
@@ -472,22 +449,19 @@ def classify(m, tol_trace=TOL_TRACE):
     AmbiguousClass instead of silently picking a side.
     """
     if m.is_identity(tol_trace):
-        return IsometryClass(IDENTITY_CLASS)
+        return IDENTITY_CLASS
     t = m.trace
     if abs(t - 2.0) <= tol_trace or abs(t + 2.0) <= tol_trace:
-        return IsometryClass(PARABOLIC)
+        return PARABOLIC
     if abs(t.imag) <= tol_trace:
         if abs(t.real) > 2.0:
-            cl = complex_length(m, tol_trace)
-            return IsometryClass(HYPERBOLIC, length=cl.length)
+            return HYPERBOLIC
         if abs(t.real) < 2.0 - tol_trace:
-            cl = complex_length(m, tol_trace)
-            return IsometryClass(ELLIPTIC, angle=cl.angle)
+            return ELLIPTIC
         raise AmbiguousClass(
             "real trace %r between the elliptic and parabolic bands" % (t,)
         )
-    cl = complex_length(m, tol_trace)
-    return IsometryClass(SCREW, length=cl.length, angle=cl.angle)
+    return SCREW
 
 
 def is_non_screw(m, tol_trace=TOL_TRACE):

@@ -58,18 +58,21 @@ RESCALE_WARN_TOL = 1e-9
 
 
 class RunConfig:
-    """Knobs for the search: word bound, length cutoff, tolerance, budget."""
+    """Knobs for the search: word bound, length cutoff, tolerance."""
 
-    __slots__ = ("max_word_len", "length_cutoff", "tol_trace", "cap")
+    __slots__ = ("max_word_len", "length_cutoff", "tol_trace")
 
     def __init__(
         self,
         max_word_len=DEFAULT_WORD_LEN,
         length_cutoff=DEFAULT_CUTOFF,
         tol_trace=TOL_TRACE,
-        cap=DEFAULT_CAP,
     ):
-        if not 1 <= max_word_len <= MAX_WORD_LEN_LIMIT:
+        if (
+            not isinstance(max_word_len, int)
+            or isinstance(max_word_len, bool)
+            or not 1 <= max_word_len <= MAX_WORD_LEN_LIMIT
+        ):
             raise OutOfRange(
                 "word bound must lie in 1..%d, got %r"
                 % (MAX_WORD_LEN_LIMIT, max_word_len)
@@ -80,19 +83,16 @@ class RunConfig:
             raise OutOfRange(
                 "trace tolerance must be nonnegative, got %r" % (tol_trace,)
             )
-        if cap <= 0:
-            raise OutOfRange("element budget must be positive")
         self.max_word_len = max_word_len
         self.length_cutoff = length_cutoff
         self.tol_trace = tol_trace
-        self.cap = cap
 
     def to_dict(self):
         return {
             "max_word_len": self.max_word_len,
             "length_cutoff": self.length_cutoff,
             "tol_trace": self.tol_trace,
-            "cap": self.cap,
+            "cap": DEFAULT_CAP,
         }
 
 
@@ -193,10 +193,10 @@ class ManifoldReport:
 
 
 def _entry_from_word(word, tol_trace):
-    cls = classify(word.matrix, tol_trace)
+    kind = classify(word.matrix, tol_trace)
     cl = complex_length(word.matrix, tol_trace)
     return SpectrumEntry(
-        word, cls.kind, cl.length, cl.angle, axis_of(word.matrix, tol_trace)
+        word, kind, cl.length, cl.angle, axis_of(word.matrix, tol_trace)
     )
 
 
@@ -233,20 +233,14 @@ def _verdict(group, config, stage):
     elem = elementary_test(group, tol_trace)
     if elem.verdict == "limit_points_0_or_1":
         return Elementary("0_or_1")
+    pair = None
     if elem.verdict == "non_elementary":
         stage[0] = "plane test" + bound
         pair = parabolic_generator_pair(group, tol_trace)
-        if pair is not None:
-            # the cusp pattern's plane is spanned by words of length 2 (see
-            # thrice_punctured_test), so its evidence needs no deeper ball
-            stage[0] = "word ball" + bound
-            short = enumerate_ball(group, min(length, 2), config.cap)
-            stage[0] = "plane test" + bound
-            fuch = fuchsian_test(group, length, tol_trace, ball=short)
-            if fuch.verdict == "all_non_screw_with_plane":
-                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
     stage[0] = "word ball" + bound
-    ball = enumerate_ball(group, length, config.cap)
+    # the cusp pattern's plane is spanned by words of length 2 (see
+    # thrice_punctured_test), so its evidence needs no deeper ball
+    ball = enumerate_ball(group, length if pair is None else min(length, 2))
 
     def stream(*kinds):
         # read only on the branches that need it, and only up to the first
@@ -274,6 +268,8 @@ def _verdict(group, config, stage):
         stage[0] = "plane test" + bound
         fuch = fuchsian_test(group, length, tol_trace, ball=ball)
         if fuch.verdict == "all_non_screw_with_plane":
+            if pair is not None:
+                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
             candidates = stream("hyperbolic")
             first = next(candidates, None)
             if first is None:
@@ -339,7 +335,7 @@ def load_group_file(path, tol_trace=TOL_TRACE):
     Schema: {"generators": [{"label": str, "matrix": [[[re,im],[re,im]],
     [[re,im],[re,im]]]}, ...], "comment": optional str}.  Determinants are
     rescaled to one with a warning; singular, identity, or relabeled
-    generators are errors.
+    generators are errors, and so is a label with whitespace or a '.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -366,6 +362,11 @@ def load_group_file(path, tol_trace=TOL_TRACE):
         label = item.get("label")
         if not isinstance(label, str) or not label:
             raise ParseError("%s.label must be a non-empty string" % where)
+        # a word spells its letters apart by spaces and an inverse by a '
+        if label.split() != [label] or "'" in label:
+            raise ParseError(
+                "%s.label %r must hold no whitespace and no '" % (where, label)
+            )
         if label in labels:
             raise DuplicateLabel("label %r appears twice" % label)
         rows = item.get("matrix")

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+import loxo.certification
 import loxo.enumeration
 import loxo.pipeline
 from loxo.enumeration import GroupPresentation
@@ -86,7 +87,7 @@ def bits(values):
 @pytest.fixture
 def ball_lengths(monkeypatch):
     """The word bounds of the enumerate_ball calls from here on, made in
-    loxo.enumeration or loxo.pipeline."""
+    loxo.enumeration, loxo.certification or loxo.pipeline."""
     lengths = []
     build = loxo.enumeration.enumerate_ball
 
@@ -95,6 +96,7 @@ def ball_lengths(monkeypatch):
         return build(group, max_word_len, *args, **kwargs)
 
     monkeypatch.setattr(loxo.enumeration, "enumerate_ball", recorded)
+    monkeypatch.setattr(loxo.certification, "enumerate_ball", recorded)
     monkeypatch.setattr(loxo.pipeline, "enumerate_ball", recorded)
     return lengths
 

@@ -186,8 +186,7 @@ def test_classification_consistent_at_volume():
             kind, m = random_classified(rng)
         counts[kind] = counts.get(kind, 0) + 1
 
-        cls = classify(m)
-        assert cls.kind == kind
+        assert classify(m) == kind
         assert is_non_screw(m) == (kind != "screw")
         if kind in ("identity", "parabolic"):
             with pytest.raises(UndefinedLength):
@@ -198,15 +197,11 @@ def test_classification_consistent_at_volume():
         assert abs(cl.length - olen) <= 1e-9
         if kind == "hyperbolic":
             assert cl.angle == 0.0
-            assert abs(cls.length - cl.length) <= 1e-12
         elif kind == "elliptic":
             assert cl.length == 0.0
             assert abs(abs(cl.angle) - oang) <= 1e-9
-            assert abs(cls.angle - cl.angle) <= 1e-12
         else:
             assert abs(cl.angle - oang) <= 1e-9
-            assert abs(cls.length - cl.length) <= 1e-12
-            assert abs(cls.angle - cl.angle) <= 1e-12
     elapsed = time.monotonic() - start
     assert all(counts[k] >= 2000 for k in ("hyperbolic", "elliptic", "parabolic", "screw"))
     assert elapsed < 5.0, "classification volume run took %.2fs" % elapsed
@@ -350,7 +345,7 @@ def test_figure_eight_shortest_screw_matches_brute_force():
     (_, alpha), (_, beta) = FIGURE_EIGHT
 
     witness = next(w for w in enumerate_ball(group, 2) if w.name == "a b")
-    assert classify(witness.matrix).kind == "screw"
+    assert classify(witness.matrix) == "screw"
     assert abs(witness.matrix.trace - (2.0 - FIGURE_EIGHT_OMEGA)) <= 1e-9
     assert abs(abs(witness.matrix.trace.imag) - math.sqrt(3.0) / 2.0) <= 1e-9
 

@@ -112,7 +112,7 @@ def test_simplicity_check_matches_scalar_reference(name, group):
             w
             for w in ball
             if w.length <= 2
-            and classify(w.matrix).kind not in ("parabolic", "identity")
+            and classify(w.matrix) not in ("parabolic", "identity")
         ]
         screw = shortest_screw(group, length, ball=ball)
         if screw is not None:

@@ -375,10 +375,11 @@ def test_ball_non_finite_product_raises():
         enumerate_ball(group, 4)
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
+    monkeypatch.setattr(loxo.enumeration, "DEFAULT_CAP", 10)
     group = presentation(THRICE_PUNCTURED)
-    with pytest.raises(BudgetExceeded):
-        enumerate_ball(group, 3, cap=10)
+    with pytest.raises(BudgetExceeded, match="exceeds 10 elements"):
+        enumerate_ball(group, 3)
 
 
 @pytest.fixture
@@ -542,7 +543,7 @@ def reference_spectrum(group, max_word_len):
     ball = enumerate_ball(group, max_word_len)
     candidates = []
     for word in ball:
-        kind = classify(word.matrix).kind
+        kind = classify(word.matrix)
         if kind in ("identity", "parabolic"):
             continue
         cl = complex_length(word.matrix)
@@ -584,7 +585,7 @@ def eager_spectrum(ball, length_cutoff=12.0):
     and probed by every later candidate of equal complex length."""
     candidates = []
     for word in ball:
-        kind = classify(word.matrix).kind
+        kind = classify(word.matrix)
         if kind in ("identity", "parabolic"):
             continue
         cl = complex_length(word.matrix)
@@ -678,7 +679,7 @@ def test_trace_kinds_agree_with_classify(group):
     decided = np.flatnonzero(kinds != loxo.enumeration._UNDECIDED)
     assert len(decided) > 0.9 * len(entries)
     for i in decided.tolist():
-        kind = classify(bare_isometry(entries[i]), TOL_TRACE).kind
+        kind = classify(bare_isometry(entries[i]), TOL_TRACE)
         assert loxo.enumeration._KINDS[kinds[i]] == kind
 
 
@@ -721,9 +722,8 @@ def test_shortest_screw_figure_eight():
     entry = shortest_screw(group, 2)
     assert entry is not None
     assert entry.word.name == "a b"
-    cls = classify(entry.word.matrix)
-    assert cls.kind == "screw"
-    assert abs(entry.length - cls.length) < 1e-15
+    assert classify(entry.word.matrix) == "screw"
+    assert abs(entry.length - complex_length(entry.word.matrix).length) < 1e-15
 
 
 def test_shortest_screw_ties_go_to_the_shortlex_first_word():
@@ -738,7 +738,7 @@ def test_shortest_screw_ties_go_to_the_shortlex_first_word():
         )
         entry = shortest_screw(conjugate, 6)
         assert entry.word.name == "a b"
-        assert entry.length == classify(entry.word.matrix).length
+        assert entry.length == complex_length(entry.word.matrix).length
 
 
 def test_shortest_screw_none_for_real_group():
@@ -761,9 +761,9 @@ def reference_shortest_screw(ball):
     word in shortlex order wins."""
     screws = []
     for word in ball:
-        cls = classify(word.matrix)
-        if cls.kind == "screw":
-            screws.append((word, cls.length, cls.angle))
+        if classify(word.matrix) == "screw":
+            cl = complex_length(word.matrix)
+            screws.append((word, cl.length, cl.angle))
     if not screws:
         return None
     least = min(length for _, length, _ in screws)
@@ -854,7 +854,7 @@ def reference_fuchsian_test(group, ball):
     screw = first_real_character_screw(group)
     if screw is not None:
         return FuchsianResult("screw_found", witness=screw)
-    hyperbolic = [w for w in ball if classify(w.matrix).kind == "hyperbolic"]
+    hyperbolic = [w for w in ball if classify(w.matrix) == "hyperbolic"]
     for i, u in enumerate(hyperbolic):
         axis_u = axis_of(u.matrix)
         for v in hyperbolic[i + 1:]:
@@ -922,7 +922,7 @@ def test_fuchsian_screw_witness_is_the_first_scalar_screw(group):
         result = fuchsian_test(group, length, ball=ball)
         if result.verdict != "screw_found":
             continue
-        first = next(w for w in ball if classify(w.matrix).kind == "screw")
+        first = next(w for w in ball if classify(w.matrix) == "screw")
         assert result.witness.name == first.name
 
 
@@ -941,7 +941,7 @@ def test_fuchsian_rank_three_witness_is_the_triple_product():
     assert result.verdict == "screw_found"
     assert result.witness.name == "a b c"
     ball = enumerate_ball(group, 3)
-    first = next(w for w in ball if classify(w.matrix).kind == "screw")
+    first = next(w for w in ball if classify(w.matrix) == "screw")
     assert first.name == "a b c"
 
 

@@ -307,11 +307,11 @@ def test_separation_spec_pair_against_oracle():
 def test_halfturn_product_classifies_by_position():
     # disjoint coplanar: hyperbolic; crossing: elliptic; skew: screw
     h = halfturn_matrix(line(-1.0, 1.0)) * halfturn_matrix(line(-2.0, 2.0))
-    assert classify(h).kind == "hyperbolic"
+    assert classify(h) == "hyperbolic"
     e = halfturn_matrix(line(0.0, None)) * halfturn_matrix(line(-1.0, 1.0))
-    assert classify(e).kind in ("elliptic", "identity")
+    assert classify(e) in ("elliptic", "identity")
     s = halfturn_matrix(line(-1.0, 1.0)) * halfturn_matrix(line(-2j, 3.0 + 1j))
-    assert classify(s).kind == "screw"
+    assert classify(s) == "screw"
 
 
 def test_cross_ratio_basic():

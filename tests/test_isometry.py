@@ -85,35 +85,36 @@ def test_psl_quotient_sign_insensitive():
 
 
 def test_classify_spec_values():
-    assert classify(normalize([[1.0, 1.0], [0.0, 1.0]])).kind == "parabolic"
+    assert classify(normalize([[1.0, 1.0], [0.0, 1.0]])) == "parabolic"
 
-    hyp = classify(normalize([[2.0, 0.0], [0.0, 0.5]]))
-    assert hyp.kind == "hyperbolic"
-    assert hyp.length == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+    hyp = normalize([[2.0, 0.0], [0.0, 0.5]])
+    assert classify(hyp) == "hyperbolic"
+    assert complex_length(hyp).length == pytest.approx(
+        2.0 * math.log(2.0), abs=1e-12
+    )
 
-    rot = classify(normalize([[cmath.exp(0.5j), 0.0], [0.0, cmath.exp(-0.5j)]]))
-    assert rot.kind == "elliptic"
-    assert rot.angle == pytest.approx(1.0, abs=1e-12)
+    rot = normalize([[cmath.exp(0.5j), 0.0], [0.0, cmath.exp(-0.5j)]])
+    assert classify(rot) == "elliptic"
+    assert complex_length(rot).angle == pytest.approx(1.0, abs=1e-12)
 
     half = (1.0 + 0.6j) / 2.0
-    screw = classify(
-        normalize([[cmath.exp(half), 0.0], [0.0, cmath.exp(-half)]])
-    )
-    assert screw.kind == "screw"
+    screw = normalize([[cmath.exp(half), 0.0], [0.0, cmath.exp(-half)]])
+    assert classify(screw) == "screw"
+    screw = complex_length(screw)
     assert screw.length == pytest.approx(1.0, abs=1e-12)
     assert screw.angle == pytest.approx(0.6, abs=1e-12)
 
 
 def test_classify_identity():
-    assert classify(MoebiusIsometry.identity()).kind == "identity"
-    assert classify(normalize([[-1.0, 0.0], [0.0, -1.0]])).kind == "identity"
+    assert classify(MoebiusIsometry.identity()) == "identity"
+    assert classify(normalize([[-1.0, 0.0], [0.0, -1.0]])) == "identity"
 
 
 def test_classify_parabolic_ball_takes_precedence():
     # companion matrix of x^2 - t x + 1 has trace exactly t
     t = 2.0 + 1e-7
     got = classify(normalize([[t, -1.0], [1.0, 0.0]]), tol_trace=1e-6)
-    assert got.kind == "parabolic"
+    assert got == "parabolic"
 
 
 def test_classify_ambiguous_corner():
@@ -128,7 +129,7 @@ def test_classify_random_constructions():
     rng = seeded("classify-random")
     for _ in range(500):
         kind, m = random_classified(rng)
-        assert classify(m).kind == kind
+        assert classify(m) == kind
         assert is_non_screw(m) == (kind != "screw")
 
 
@@ -259,7 +260,7 @@ def test_parabolic_conjugates_stay_parabolic():
     rng = seeded("parabolic-conj")
     for _ in range(100):
         m = parabolic_with(rng)
-        assert classify(m).kind == "parabolic"
+        assert classify(m) == "parabolic"
         assert abs(abs(m.trace.real) - 2.0) <= 1e-9
 
 

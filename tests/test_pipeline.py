@@ -14,6 +14,7 @@ from loxo.enumeration import (
     GroupPresentation,
     enumerate_ball,
     jorgensen_warnings,
+    parabolic_generator_pair,
     thrice_punctured_test,
 )
 from loxo.errors import (
@@ -29,7 +30,7 @@ from loxo.errors import (
     ParseError,
     SingularGenerator,
 )
-from loxo.isometry import MoebiusIsometry
+from loxo.isometry import TOL_TRACE, MoebiusIsometry
 from loxo.pipeline import (
     Inconclusive,
     ManifoldReport,
@@ -39,7 +40,7 @@ from loxo.pipeline import (
     load_group_file,
 )
 
-from conftest import reference_groups
+from conftest import random_isometry, reference_groups, seeded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -56,7 +57,7 @@ def test_config_defaults():
     config = RunConfig()
     assert config.max_word_len == 6
     assert config.length_cutoff == 12.0
-    assert config.cap == 10**7
+    assert config.to_dict()["cap"] == 10**7
     assert set(config.to_dict()) == {
         "max_word_len", "length_cutoff", "tol_trace", "cap",
     }
@@ -71,8 +72,12 @@ def test_config_validation():
         RunConfig(length_cutoff=0.0)
     with pytest.raises(OutOfRange):
         RunConfig(length_cutoff=float("nan"))
+
+
+@pytest.mark.parametrize("bound", [6.0, True, "6", None])
+def test_config_takes_only_an_integer_word_bound(bound):
     with pytest.raises(OutOfRange):
-        RunConfig(cap=0)
+        RunConfig(max_word_len=bound)
 
 
 @pytest.mark.parametrize("tol", [-1e-12, float("nan"), -math.inf])
@@ -163,6 +168,22 @@ def test_load_rejects_duplicate_label(tmp_path):
     )
     with pytest.raises(DuplicateLabel):
         load_group_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "labels", [("a'", "a"), ("x y", "b")], ids=["prime", "space"]
+)
+def test_load_rejects_labels_words_cannot_spell(tmp_path, capsys, labels):
+    path = tmp_path / "labels.json"
+    write_group(path, zip(labels, (
+        MoebiusIsometry(1, 2, 0, 1), MoebiusIsometry(1, 0, 2, 1)
+    )))
+    with pytest.raises(ParseError, match="no whitespace and no"):
+        load_group_file(str(path))
+    code, out, err = run_cli(capsys, "ball", str(path), "--max-word-len", "1")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "no whitespace and no" in err
 
 
 def test_load_rejects_singular_generator(tmp_path):
@@ -610,14 +631,43 @@ def test_cusp_pattern_stages_name_their_failure(monkeypatch, kernel, stage):
     assert report.verdict.reason == stage + " failed: NearSingular: forced"
 
 
-def test_cusp_pattern_budget_below_the_short_ball_raises():
+def test_cusp_pattern_budget_below_the_short_ball_raises(monkeypatch):
     # the ball of length 2 holds 16 words
     group, _ = load_group_file(fixture("thrice_punctured.json"))
-    assert classify_manifold(group, RunConfig(cap=16)).verdict.kind == (
+    monkeypatch.setattr(loxo.enumeration, "DEFAULT_CAP", 16)
+    assert classify_manifold(group).verdict.kind == (
         "ThricePuncturedSphereEvidence"
     )
+    monkeypatch.setattr(loxo.enumeration, "DEFAULT_CAP", 15)
     with pytest.raises(BudgetExceeded):
-        classify_manifold(group, RunConfig(cap=15))
+        classify_manifold(group)
+
+
+def one_ball_groups():
+    """(group, whether it has the cusp pattern): the reference groups and a
+    seeded conjugate of thrice_punctured."""
+    groups = dict(reference_groups())
+    g = random_isometry(seeded("one ball per verdict"))
+    groups["thrice_punctured conjugate"] = GroupPresentation(
+        [m.conjugate_by(g) for m in groups["thrice_punctured"].generators]
+    )
+    return [
+        pytest.param(group, name.startswith("thrice_punctured"), id=name)
+        for name, group in groups.items()
+    ]
+
+
+@pytest.mark.parametrize("group, cusp_pattern", one_ball_groups())
+@pytest.mark.parametrize("length", range(1, 7))
+def test_a_verdict_builds_at_most_one_ball(
+    ball_lengths, group, cusp_pattern, length
+):
+    pair = parabolic_generator_pair(group, TOL_TRACE)
+    assert (pair is not None) == cusp_pattern
+    classify_manifold(group, RunConfig(max_word_len=length))
+    assert ball_lengths in (
+        [], [min(length, 2) if cusp_pattern else length]
+    )
 
 
 def test_ambiguous_trace_is_inconclusive(ambiguous_stream):
@@ -661,10 +711,11 @@ def test_each_stage_names_its_failure(monkeypatch, kernel, stage):
     assert report.verdict.reason == stage + " failed: NearSingular: forced"
 
 
-def test_budget_exceeded_propagates():
+def test_budget_exceeded_propagates(monkeypatch):
+    monkeypatch.setattr(loxo.enumeration, "DEFAULT_CAP", 10)
     group, _ = load_group_file(fixture("figure_eight.json"))
     with pytest.raises(BudgetExceeded):
-        classify_manifold(group, RunConfig(max_word_len=3, cap=10))
+        classify_manifold(group, RunConfig(max_word_len=3))
 
 
 def test_overflowing_ball_is_inconclusive():
@@ -899,6 +950,48 @@ def test_cli_classify_element(capsys):
     data = json.loads(out)
     assert data["kind"] == "hyperbolic"
     assert abs(data["length"] - 2 * math.log(2)) < 1e-12
+
+
+# classify-element's text report of a matrix of each kind
+CLASSIFY_ELEMENT_REPORTS = [
+    (
+        "1 0 0 0 0 0 1 0",
+        'angle: null\nkind: "identity"\nlength: null\ntrace: [2.0, 0.0]\n',
+    ),
+    (
+        "1 0 1 0 0 0 1 0",
+        'angle: null\nkind: "parabolic"\nlength: null\ntrace: [2.0, 0.0]\n',
+    ),
+    (
+        "0.8775825618903728 0.479425538604203 0 0 0 0 0.8775825618903728 "
+        "-0.479425538604203",
+        'angle: 1.0\nkind: "elliptic"\nlength: null\n'
+        "trace: [1.7551651237807455, 0.0]\n",
+    ),
+    (
+        "2 0 0 0 0 0 0.5 0",
+        'angle: null\nkind: "hyperbolic"\nlength: 1.3862943611198906\n'
+        "trace: [2.5, 0.0]\n",
+    ),
+    (
+        "2 1 0 0 0 0 0.4 -0.2",
+        'angle: 0.9272952180016123\nkind: "screw"\nlength: 1.6094379124341\n'
+        "trace: [2.4, 0.8]\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix, report",
+    CLASSIFY_ELEMENT_REPORTS,
+    ids=["identity", "parabolic", "elliptic", "hyperbolic", "screw"],
+)
+def test_cli_classify_element_reports_each_kind(capsys, matrix, report):
+    code, out, _ = run_cli(
+        capsys, "classify-element", "--matrix", *matrix.split()
+    )
+    assert code == EXIT_OK
+    assert out == report
 
 
 def test_cli_decompose_translation(capsys):
