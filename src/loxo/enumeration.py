@@ -210,6 +210,12 @@ class MatrixStore:
         return kept
 
 
+def _spells_letters(label):
+    """Whether a label can name a letter: a word spells its letters apart by
+    spaces and an inverse by a '."""
+    return isinstance(label, str) and label.split() == [label] and "'" not in label
+
+
 class GroupPresentation:
     """Generators of a subgroup of PSL(2, C) with display labels."""
 
@@ -223,6 +229,8 @@ class GroupPresentation:
             raise ValueError("one label per generator")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
+        if not all(map(_spells_letters, labels)):
+            raise ValueError("labels must hold no whitespace and no '")
         self.labels = list(labels)
 
     @property
@@ -562,10 +570,10 @@ def geodesics(
     the key and the cosh of complex_length's l differ by a few ulps times
     l, far inside the relative slack 1e-9.  A row's length is thus at least
     its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
-    length_cutoff are dropped; the rest are read in key order, a slack-wide
-    block at a time: each keeps the screen's kind (classify runs only on a
-    row the screen left undecided) and gets its scalar complex_length, into
-    a heap by (length, angle, row).  The heap top is final once its length
+    length_cutoff are dropped; the rest are read in key order, one row at a
+    time: each keeps the screen's kind (classify runs only on a row the
+    screen left undecided) and gets its scalar complex_length, into a heap
+    by (length, angle, row).  The heap top is final once its length
     is below the bound of every unread row; its word and axis are built
     when it is popped.  ball, when given, must be an enumerate_ball result.
     """
@@ -580,7 +588,7 @@ def geodesics(
     # rows past the cutoff go; a row whose key is not a number stays, last
     keep = ~(bound > length_cutoff)
     order = np.argsort(x[keep], kind="stable")
-    rows, x, bound = rows[keep][order], x[keep][order], bound[keep][order]
+    rows, bound = rows[keep][order], bound[keep][order]
 
     heap = []
     read = 0
@@ -591,21 +599,17 @@ def geodesics(
     near = []
     while True:
         while read < len(rows) and not (heap and heap[0][0] < bound[read]):
-            stop = max(
-                read + 1,
-                int(x.searchsorted(x[read] * (1.0 + _KEY_SLACK), "right")),
-            )
-            for i in rows[read:stop].tolist():
-                m = _row_matrix(entries, i)
-                kind = _kind(kinds[i], m, tol_trace)
-                if kind in ("identity", "parabolic"):
-                    continue
-                cl = complex_length(m, tol_trace)
-                if cl.length > length_cutoff:
-                    continue
-                # ball rows are in shortlex order, so the row breaks ties
-                heapq.heappush(heap, (cl.length, cl.angle, i, kind, m))
-            read = stop
+            i = int(rows[read])
+            read += 1
+            m = _row_matrix(entries, i)
+            kind = _kind(kinds[i], m, tol_trace)
+            if kind in ("identity", "parabolic"):
+                continue
+            cl = complex_length(m, tol_trace)
+            if cl.length > length_cutoff:
+                continue
+            # ball rows are in shortlex order, so the row breaks ties
+            heapq.heappush(heap, (cl.length, cl.angle, i, kind, m))
         if not heap:
             return
         length, angle, i, kind, m = heapq.heappop(heap)

@@ -4,14 +4,13 @@ The trichotomy implemented here: an elementary group is reported as such
 (with its preserved axis geodesic certified when there is one); a group
 whose generator products all have real traces keeps an oriented plane, and
 is matched against the doubly-cusped plane group or otherwise has its
-shortest hyperbolic geodesics checked for simplicity; a group with a screw
+shortest hyperbolic geodesic checked for simplicity; a group with a screw
 word has its shortest screw checked.  Every conclusive verdict carries the
 witnessing word and certificate data; anything short of that is an
 explicit Inconclusive with a reason.
 """
 
 import cmath
-import itertools
 import json
 import math
 
@@ -23,6 +22,7 @@ from .enumeration import (
     GroupPresentation,
     SpectrumEntry,
     ThricePuncturedSphereEvidence,
+    _spells_letters,
     elementary_test,
     enumerate_ball,
     fuchsian_test,
@@ -57,6 +57,11 @@ MAX_WORD_LEN_LIMIT = 12
 RESCALE_WARN_TOL = 1e-9
 
 
+def _is_number(value):
+    # a JSON number; a bool is an int to Python but not a number here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class RunConfig:
     """Knobs for the search: word bound, length cutoff, tolerance."""
 
@@ -77,11 +82,15 @@ class RunConfig:
                 "word bound must lie in 1..%d, got %r"
                 % (MAX_WORD_LEN_LIMIT, max_word_len)
             )
-        if not length_cutoff > 0:
-            raise OutOfRange("length cutoff must be positive")
-        if not tol_trace >= 0:
+        if not _is_number(length_cutoff) or not length_cutoff > 0:
             raise OutOfRange(
-                "trace tolerance must be nonnegative, got %r" % (tol_trace,)
+                "length cutoff must be a positive number, got %r"
+                % (length_cutoff,)
+            )
+        if not _is_number(tol_trace) or not tol_trace >= 0:
+            raise OutOfRange(
+                "trace tolerance must be a nonnegative number, got %r"
+                % (tol_trace,)
             )
         self.max_word_len = max_word_len
         self.length_cutoff = length_cutoff
@@ -203,12 +212,13 @@ def _entry_from_word(word, tol_trace):
 def classify_manifold(group, config=None):
     """Run the trichotomy on a generating set and report with evidence.
 
-    Each branch names its candidate geodesics and the reason it gives when
-    none certifies as simple; one loop checks the candidates in order.  A
-    library error other than BudgetExceeded (a trace in the band where
-    classify raises AmbiguousClass, a product that cannot be normalized, a
-    plane that invariant_plane cannot fit) ends the search with an
-    Inconclusive naming the stage that raised it.
+    Each branch names one candidate, its shortest geodesic, and one
+    simplicity_check decides it: outside the cusp pattern a shortest
+    geodesic that crosses itself resolves into shorter curves, so no longer
+    candidate is tried.  A library error other than BudgetExceeded (a trace
+    in the band where classify raises AmbiguousClass, a product that cannot
+    be normalized, a plane that invariant_plane cannot fit) ends the search
+    with an Inconclusive naming the stage that raised it.
     """
     if config is None:
         config = RunConfig()
@@ -242,25 +252,20 @@ def _verdict(group, config, stage):
     # thrice_punctured_test), so its evidence needs no deeper ball
     ball = enumerate_ball(group, length if pair is None else min(length, 2))
 
-    def stream(*kinds):
-        # read only on the branches that need it, and only up to the first
-        # geodesic that certifies; the stage is named again each time the
-        # certifying loop resumes the stream
+    def first(kinds, axis=None):
+        # the shortest stream entry of these kinds, on axis when given: the
+        # stream is read only on the branches that need it, and only so far
         stage[0] = "geodesic stream" + bound
-        for entry in geodesics(
+        for e in geodesics(
             group, length, config.length_cutoff, tol_trace, ball=ball
         ):
-            if entry.kind in kinds:
-                yield entry
-                stage[0] = "geodesic stream" + bound
+            if e.kind in kinds and (axis is None or same_line(e.axis, axis)):
+                return e
+        return None
 
     if elem.verdict == "limit_points_2":
-        candidates = (
-            e
-            for e in stream("hyperbolic", "screw")
-            if same_line(e.axis, elem.axis)
-        )
-        reason = (
+        entry = first(("hyperbolic", "screw"), elem.axis)
+        absent = (
             "two limit points, but no loxodromic word below the length "
             "cutoff certifies as simple"
         )
@@ -270,42 +275,33 @@ def _verdict(group, config, stage):
         if fuch.verdict == "all_non_screw_with_plane":
             if pair is not None:
                 return ThricePuncturedSphereEvidence(*pair, fuch.plane)
-            candidates = stream("hyperbolic")
-            first = next(candidates, None)
-            if first is None:
-                return Inconclusive(
-                    "ball preserves a plane but contains no hyperbolic word "
-                    "below the length cutoff"
-                )
-            candidates = itertools.chain((first,), candidates)
-            reason = (
-                "every plane-preserving hyperbolic word up to the bound "
-                "self-intersects"
+            entry = first(("hyperbolic",))
+            absent = (
+                "ball preserves a plane but contains no hyperbolic word "
+                "below the length cutoff"
             )
         elif fuch.verdict == "screw_found":
             stage[0] = "shortest screw search" + bound
             entry = shortest_screw(group, length, tol_trace, ball=ball)
             if entry is None:
                 entry = _entry_from_word(fuch.witness, tol_trace)
-            candidates = [entry]
-            reason = (
-                "shortest screw word %s self-intersects within the bound"
-                % entry.word.name
-            )
         else:
             # no two hyperbolic words with distinct endpoints
-            candidates = stream("hyperbolic")
-            reason = (
+            entry = first(("hyperbolic",))
+            absent = (
                 "generators pass the non-elementary test but the ball "
                 "shows no certifiable loxodromic geodesic"
             )
-
-    for entry in candidates:
-        stage[0] = "simplicity check of " + entry.word.name
-        report = simplicity_check(group, entry.axis, length, ball=ball)
-        if report.is_simple:
-            return SimpleGeodesicFound(entry, report)
-    return Inconclusive(reason)
+    if entry is None:
+        return Inconclusive(absent)
+    stage[0] = "simplicity check of " + entry.word.name
+    report = simplicity_check(group, entry.axis, length, ball=ball)
+    if report.is_simple:
+        return SimpleGeodesicFound(entry, report)
+    return Inconclusive(
+        "shortest %s word %s self-intersects within the bound"
+        % (entry.kind, entry.word.name)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +312,7 @@ def _parse_complex(value, where):
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in value)
+        or not all(map(_is_number, value))
     ):
         raise ParseError("%s must be a [re, im] pair, got %r" % (where, value))
     try:
@@ -362,8 +357,7 @@ def load_group_file(path, tol_trace=TOL_TRACE):
         label = item.get("label")
         if not isinstance(label, str) or not label:
             raise ParseError("%s.label must be a non-empty string" % where)
-        # a word spells its letters apart by spaces and an inverse by a '
-        if label.split() != [label] or "'" in label:
+        if not _spells_letters(label):
             raise ParseError(
                 "%s.label %r must hold no whitespace and no '" % (where, label)
             )

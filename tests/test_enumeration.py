@@ -472,6 +472,17 @@ def test_word_names_use_prime_for_inverse():
     assert group.word((0, 3, 0)).name == "a b' a"
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [("a'", "a"), ("x y", "b"), ("", "b"), (1, "b")],
+    ids=["prime", "space", "empty", "not a string"],
+)
+def test_presentation_rejects_labels_words_cannot_spell(labels):
+    # with the labels a' and a, the words a' and a'' would both read "a'"
+    with pytest.raises(ValueError, match="no whitespace and no"):
+        GroupPresentation([m for _, m in THRICE_PUNCTURED], labels)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

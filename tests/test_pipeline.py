@@ -15,6 +15,7 @@ from loxo.enumeration import (
     enumerate_ball,
     jorgensen_warnings,
     parabolic_generator_pair,
+    spectrum,
     thrice_punctured_test,
 )
 from loxo.errors import (
@@ -84,6 +85,22 @@ def test_config_takes_only_an_integer_word_bound(bound):
 def test_config_rejects_bad_trace_tolerance(tol):
     with pytest.raises(OutOfRange):
         RunConfig(tol_trace=tol)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"length_cutoff": "5"},
+        {"length_cutoff": True},
+        {"length_cutoff": None},
+        {"tol_trace": False},
+        {"tol_trace": "0"},
+    ],
+    ids=["cutoff-str", "cutoff-bool", "cutoff-none", "tol-bool", "tol-str"],
+)
+def test_config_takes_only_numbers(options):
+    with pytest.raises(OutOfRange):
+        RunConfig(**options)
 
 
 def test_config_accepts_zero_trace_tolerance():
@@ -469,28 +486,91 @@ NIELSEN_BASIS = ((1, 2, 0, 1), (1, 2, 2, 5))
 LONG_NIELSEN_BASIS = ((1, 2, 0, 1), (1, 6, 2, 13))
 
 
+def basis_group(basis):
+    return GroupPresentation([MoebiusIsometry(*m) for m in basis])
+
+
 def test_plane_branch_probes_few_stored_rows(psl_distance_calls):
-    # no parabolic generator pair, so every hyperbolic stream entry is
-    # checked and its half-turn probed against a translate orbit: with a
-    # window from the orbit's largest entry this made 81,486 calls
-    group = GroupPresentation([MoebiusIsometry(*m) for m in NIELSEN_BASIS])
-    report = classify_manifold(group, RunConfig(max_word_len=8))
-    assert report.verdict.kind == "Inconclusive"
+    # a verdict on this basis checks one geodesic and probes no orbit, so
+    # the guard runs through spectrum: its 22,115 probes of translate
+    # orbits, whose rows reach 1e8, make 6,919 scalar calls with a window
+    # sized from each probe
+    entries = spectrum(basis_group(NIELSEN_BASIS), 8)
+    assert entries
     assert psl_distance_calls[0] < 10000
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the length-6 ball of this basis misses the translate that "
-    "crosses b' a' b' a' b b (ROADMAP items 1-2)",
-)
 def test_long_basis_of_gamma_2_finds_no_simple_geodesic():
-    # the paper's theorem: Gamma(2) has no simple closed geodesic
-    group = GroupPresentation(
-        [MoebiusIsometry(*m) for m in LONG_NIELSEN_BASIS]
+    # the paper's theorem: Gamma(2) has no simple closed geodesic; the
+    # length-6 ball of this basis misses the translate that crosses
+    # b' a' b' a' b b, so only its shortest geodesic may be certified
+    report = classify_manifold(
+        basis_group(LONG_NIELSEN_BASIS), RunConfig(max_word_len=6)
     )
-    report = classify_manifold(group, RunConfig(max_word_len=6))
     assert report.verdict.kind != "SimpleGeodesicFound"
+
+
+@pytest.mark.parametrize(
+    "basis, length, word",
+    [
+        # Gamma(2): no simple closed geodesic at all
+        (LONG_NIELSEN_BASIS, 4, None),
+        (((5, 22, 2, 9), (1, 4, 2, 9)), 4, None),
+        # bases of the funnel group, a pair of pants with two cusps: its one
+        # simple closed geodesic is the boundary, of length 2 arccosh 2
+        (((1, 2, 0, 1), (1, 6, 3, 19)), 4, None),
+        (((7, 30, 3, 13), (1, 4, 3, 13)), 4, None),
+        (((1, 2, 0, 1), (1, 6, 3, 19)), 5, "a a a a b'"),
+    ],
+    ids=[
+        "gamma2-long-basis-L4",
+        "gamma2-basis-traces-14-10-L4",
+        "funnel-basis-1-L4",
+        "funnel-basis-2-L4",
+        "funnel-basis-1-L5-boundary",
+    ],
+)
+def test_plane_branch_certifies_only_its_shortest_geodesic(
+    basis, length, word
+):
+    report = classify_manifold(
+        basis_group(basis), RunConfig(max_word_len=length)
+    )
+    if word is None:
+        assert report.verdict.kind == "Inconclusive"
+        assert re.fullmatch(
+            "shortest hyperbolic word [ab' ]+ self-intersects within the "
+            "bound",
+            report.verdict.reason,
+        )
+    else:
+        assert report.verdict.kind == "SimpleGeodesicFound"
+        assert report.verdict.entry.word.name == word
+        assert report.verdict.entry.length == pytest.approx(
+            2 * math.acosh(2), rel=1e-12
+        )
+
+
+def spy_groups():
+    groups = reference_groups()
+    groups.append(("Gamma(2) basis", basis_group(NIELSEN_BASIS)))
+    groups.append(("long Gamma(2) basis", basis_group(LONG_NIELSEN_BASIS)))
+    return [pytest.param(group, id=name) for name, group in groups]
+
+
+@pytest.mark.parametrize("group", spy_groups())
+@pytest.mark.parametrize("length", range(1, 7))
+def test_a_verdict_checks_at_most_one_geodesic(monkeypatch, group, length):
+    calls = []
+    check = loxo.pipeline.simplicity_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(loxo.pipeline, "simplicity_check", counted)
+    classify_manifold(group, RunConfig(max_word_len=length))
+    assert len(calls) <= 1
 
 
 # entries near 20^7 make the determinant of a length-7 product cancel to 0
@@ -1084,6 +1164,34 @@ def test_cli_spectrum(capsys):
     assert code == 0
     data = json.loads(out)
     assert [e["word"] for e in data["entries"]] == ["a", "a a", "a a a"]
+
+
+FIGURE_EIGHT_SPECTRUM_TEXT = [
+    "1.087070145 -1.72276844987 screw a b",
+    "1.66288589106 -2.39212378817 screw a a b",
+    "1.66288589106 -2.39212378817 screw a b b",
+    "1.72510925532 0.921838931481 screw a b'",
+    "2.41611328691 1.20868579318 screw a a b'",
+    "2.41611328691 1.20868579318 screw a b' b'",
+]
+
+
+@pytest.mark.parametrize(
+    "cutoff, lines",
+    [("12", FIGURE_EIGHT_SPECTRUM_TEXT), ("0.5", [])],
+    ids=["all", "below-every-length"],
+)
+def test_cli_spectrum_text(capsys, cutoff, lines):
+    code, out, _ = run_cli(
+        capsys,
+        "spectrum",
+        fixture("figure_eight.json"),
+        "--max-word-len", "3",
+        "--format", "text",
+        "--cutoff", cutoff,
+    )
+    assert code == EXIT_OK
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_cli_shortest_screw(capsys):
