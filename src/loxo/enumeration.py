@@ -459,6 +459,47 @@ def _trace_kinds(entries, tol_trace):
     up to the one that decides it has its quantity within 1e-12 of the
     threshold, when it lies in the band where classify raises, or when it
     is not finite.
+
+    Only the finite rows with ||Re tr| - 2| <= 2 tol + 1e-11 (tol raised
+    by a relative 4 eps) get the identity and parabolic tests; every other
+    row fails both by more than 1e-12.  For hypot(x, y) >= |x|, so
+    |tr -+ 2| >= ||Re tr| - 2|; and a row whose identity quantity q (for
+    the sign of +-1) is at most tol + 1e-12 has |tr -+ 2| <= 2 q plus the
+    roundoff of the sums, a few eps of 2 + 2 q.  A row outside that set is
+    also more than 1e-11 from 2 and from 2 - tol, so once its imaginary
+    test is clear it is hyperbolic or elliptic by the sign of |Re tr| - 2.
+    """
+    t = entries[:, 0] + entries[:, 3]
+    imag = np.abs(t.imag)
+    real = np.abs(t.real)
+    # a row's eight finiteness flags are the eight bytes of one uint64
+    coords = entries.view(np.float64)
+    finite = np.empty(coords.shape, dtype=bool)
+    np.isfinite(coords, out=finite)
+    finite = finite.view(np.uint64)[:, 0] == 0x0101010101010101
+    # _HYPERBOLIC is _ELLIPTIC + 1
+    kinds = (real > 2.0).view(np.int8) + np.int8(_ELLIPTIC)
+    kinds[imag > tol_trace] = _SCREW
+    kinds[~(finite & (np.abs(imag - tol_trace) > 1e-12))] = _UNDECIDED
+    reach = 2.0 * tol_trace * (1.0 + 4.0 * _EPS) + 1e-11
+    near = np.flatnonzero(finite & ~(np.abs(real - 2.0) > reach))
+    kinds[near] = _near_kinds(entries[near], tol_trace)
+    return kinds
+
+
+# the kinds of classify's five tests, in classify's order
+_TEST_KINDS = np.array(
+    (_IDENTITY, _PARABOLIC, _SCREW, _HYPERBOLIC, _ELLIPTIC), dtype=np.int8
+)
+
+
+def _near_kinds(entries, tol_trace):
+    """_trace_kinds of finite rows, with all five tests on every row.
+
+    margins[k] is test k's quantity less its threshold, signed so that the
+    test passes where it is positive.  The first test whose margin is not
+    below -1e-12 decides a row: its kind when the margin is above 1e-12,
+    undecided otherwise, and undecided too when every test fails.
     """
     a, b, c, d = entries.T
     t = a + d
@@ -470,19 +511,16 @@ def _trace_kinds(entries, tol_trace):
     parabolic = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
     imag = np.abs(t.imag)
     real = np.abs(t.real)
-    kinds = np.full(len(entries), _UNDECIDED, dtype=np.int8)
-    undecided = np.isfinite(entries).all(axis=1)
-    for q, threshold, passed, kind in (
-        (identity, tol_trace, identity <= tol_trace, _IDENTITY),
-        (parabolic, tol_trace, parabolic <= tol_trace, _PARABOLIC),
-        (imag, tol_trace, imag > tol_trace, _SCREW),
-        (real, 2.0, real > 2.0, _HYPERBOLIC),
-        (real, 2.0 - tol_trace, real < 2.0 - tol_trace, _ELLIPTIC),
-    ):
-        clear = np.abs(q - threshold) > 1e-12
-        kinds[undecided & clear & passed] = kind
-        undecided &= clear & ~passed
-    return kinds
+    margins = np.stack((
+        tol_trace - identity,
+        tol_trace - parabolic,
+        imag - tol_trace,
+        real - 2.0,
+        (2.0 - tol_trace) - real,
+    ))
+    first = np.argmax(~(margins < -1e-12), axis=0)
+    decided = margins[first, np.arange(len(entries))] > 1e-12
+    return np.where(decided, _TEST_KINDS[first], np.int8(_UNDECIDED))
 
 
 def _kind(code, m, tol_trace):
@@ -490,6 +528,29 @@ def _kind(code, m, tol_trace):
     screen's, and classify's only where the screen left the row undecided
     (so only such a row can raise AmbiguousClass)."""
     return classify(m, tol_trace) if code == _UNDECIDED else _KINDS[code]
+
+
+def _trace_lengths(t, tol_trace):
+    """A function length(k, m) that gives complex_length(m, tol_trace) for
+    m a ball row, neither identity nor parabolic, of trace t[k]: it calls
+    complex_length once per bit pattern of t[k].
+
+    complex_length reads only the trace of such a row, and t[k] holds the
+    bits of m.a + m.d.  The key is the bits, not the value: 0.0 == -0.0,
+    though a function of the trace may tell the two apart.
+    """
+    bits = t.tobytes()
+    lengths = {}
+
+    def length(k, m):
+        # 16 bytes per complex trace
+        key = bits[16 * k:16 * k + 16]
+        cl = lengths.get(key)
+        if cl is None:
+            cl = lengths[key] = complex_length(m, tol_trace)
+        return cl
+
+    return length
 
 
 def _cosh_half_length(t):
@@ -572,10 +633,11 @@ def geodesics(
     its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
     length_cutoff are dropped; the rest are read in key order, one row at a
     time: each keeps the screen's kind (classify runs only on a row the
-    screen left undecided) and gets its scalar complex_length, into a heap
-    by (length, angle, row).  The heap top is final once its length
-    is below the bound of every unread row; its word and axis are built
-    when it is popped.  ball, when given, must be an enumerate_ball result.
+    screen left undecided) and gets the scalar complex_length of its trace
+    (one call per distinct trace, see _trace_lengths), into a heap by
+    (length, angle, row).  The heap top is final once its length is below
+    the bound of every unread row; its word and axis are built when it is
+    popped.  ball, when given, must be an enumerate_ball result.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
@@ -588,9 +650,10 @@ def geodesics(
     # rows past the cutoff go; a row whose key is not a number stays, last
     keep = ~(bound > length_cutoff)
     order = np.argsort(x[keep], kind="stable")
-    rows, bound = rows[keep][order], bound[keep][order]
+    rows, bound, t = rows[keep][order], bound[keep][order], t[keep][order]
 
     heap = []
+    length_of = _trace_lengths(t, tol_trace)
     read = 0
     # Kept reps whose length is within 1e-7 of the current candidate, as
     # [rep, its half-turn, its orbit array]; both are filled in on first
@@ -605,7 +668,7 @@ def geodesics(
             kind = _kind(kinds[i], m, tol_trace)
             if kind in ("identity", "parabolic"):
                 continue
-            cl = complex_length(m, tol_trace)
+            cl = length_of(read - 1, m)
             if cl.length > length_cutoff:
                 continue
             # ball rows are in shortlex order, so the row breaks ties
@@ -654,15 +717,20 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     does not choose among equal lengths: the first tied word in shortlex
     order wins, with its own length and angle.  The rows scanned are the
     screws near the least key and the rows the trace screen left undecided
-    (classified here); each screw gets its scalar complex_length.  ball,
-    when given, must be an enumerate_ball result; only the winner's word is
-    built.
+    with |Im tr| > tol_trace (classified here; classify calls no other row
+    a screw); each screw gets the scalar complex_length of its trace, once
+    per distinct trace.  ball, when given, must be an enumerate_ball
+    result; only the winner's word is built.
     """
     if ball is None:
         ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
     kinds = ball.trace_kinds(tol_trace)
     scan = kinds == _UNDECIDED
+    # classify calls a row a screw only where |Im tr| > tol_trace
+    undecided = np.flatnonzero(scan)
+    t = entries[undecided, 0] + entries[undecided, 3]
+    scan[undecided[np.abs(t.imag) <= tol_trace]] = False
     screws = np.flatnonzero(kinds == _SCREW)
     if screws.size:
         # cosh(l / 2) grows with the length l: scan the rows whose key is
@@ -672,11 +740,16 @@ def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
         least = math.acosh(max(float(x.min()), 1.0))
         reach = math.cosh(least * (1.0 + _TIE)) * (1.0 + _TIE)
         scan[screws[x <= reach]] = True
+    rows = np.flatnonzero(scan)
+    scanned = entries[rows]
+    length_of = _trace_lengths(scanned[:, 0] + scanned[:, 3], tol_trace)
     found = []
-    for i in np.flatnonzero(scan).tolist():
-        m = _row_matrix(entries, i)
-        if _kind(kinds[i], m, tol_trace) == "screw":
-            found.append((i, complex_length(m, tol_trace), m))
+    for k, (i, code, row) in enumerate(
+        zip(rows.tolist(), kinds[rows].tolist(), scanned.tolist())
+    ):
+        m = _isometry(*row)
+        if _kind(code, m, tol_trace) == "screw":
+            found.append((i, length_of(k, m), m))
     if not found:
         return None
     least = min(cl.length for _, cl, _ in found)
@@ -767,15 +840,15 @@ def fuchsian_test(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
             axes[i] = axis_of(m, tol_trace) if hyperbolic else None
         return axes[i]
 
-    rows = np.flatnonzero(
-        (kinds == _HYPERBOLIC) | (kinds == _UNDECIDED)
-    ).tolist()
-    for n, i in enumerate(rows):
+    # walked lazily: the search reads a few of these rows, not all
+    rows = np.flatnonzero((kinds == _HYPERBOLIC) | (kinds == _UNDECIDED))
+    for n in range(len(rows)):
+        i = int(rows[n])
         axis_u = axis(i)
         if axis_u is None:
             continue
         for j in rows[n + 1:]:
-            axis_v = axis(j)
+            axis_v = axis(int(j))
             if axis_v is None or any(
                 same_point(p, q)
                 for p in axis_u.endpoints()

@@ -266,8 +266,8 @@ def _verdict(group, config, stage):
     if elem.verdict == "limit_points_2":
         entry = first(("hyperbolic", "screw"), elem.axis)
         absent = (
-            "two limit points, but no loxodromic word below the length "
-            "cutoff certifies as simple"
+            "two limit points, but the ball has no loxodromic word on the "
+            "common axis below the length cutoff"
         )
     else:
         stage[0] = "plane test" + bound

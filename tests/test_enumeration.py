@@ -656,6 +656,29 @@ def test_geodesics_match_eager_reference(group):
         )
 
 
+@pytest.fixture
+def length_traces(monkeypatch):
+    """The trace bits of each complex_length call made in
+    loxo.enumeration from here on."""
+    traces = []
+
+    def recorded(m, tol_trace):
+        traces.append(tuple(bits([m.trace])))
+        return complex_length(m, tol_trace)
+
+    monkeypatch.setattr(loxo.enumeration, "complex_length", recorded)
+    return traces
+
+
+def test_geodesics_take_one_complex_length_per_trace(length_traces):
+    # the 72 words torus's length-6 stream reads before its first entry
+    # all have the trace of a
+    group = dict(reference_groups())["torus"]
+    entry = next(geodesics(group, 6))
+    assert entry.word.name == "a"
+    assert len(length_traces) == 1
+
+
 def test_geodesics_keep_lengths_equal_to_the_cutoff():
     group = dict(reference_groups())["torus"]
     ball = enumerate_ball(group, 6)
@@ -692,6 +715,101 @@ def test_trace_kinds_agree_with_classify(group):
     for i in decided.tolist():
         kind = classify(bare_isometry(entries[i]), TOL_TRACE)
         assert loxo.enumeration._KINDS[kinds[i]] == kind
+
+
+def reference_trace_kinds(entries, tol_trace):
+    """_trace_kinds with classify's five tests run on every row, in order."""
+    a, b, c, d = entries.T
+    t = a + d
+    off = np.maximum(np.abs(b), np.abs(c))
+    identity = np.minimum(
+        np.maximum(np.maximum(np.abs(a - 1.0), np.abs(d - 1.0)), off),
+        np.maximum(np.maximum(np.abs(a + 1.0), np.abs(d + 1.0)), off),
+    )
+    parabolic = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
+    imag = np.abs(t.imag)
+    real = np.abs(t.real)
+    kinds = np.full(len(entries), loxo.enumeration._UNDECIDED, dtype=np.int8)
+    undecided = np.isfinite(entries).all(axis=1)
+    for q, threshold, passed, kind in (
+        (identity, tol_trace, identity <= tol_trace, "identity"),
+        (parabolic, tol_trace, parabolic <= tol_trace, "parabolic"),
+        (imag, tol_trace, imag > tol_trace, "screw"),
+        (real, 2.0, real > 2.0, "hyperbolic"),
+        (real, 2.0 - tol_trace, real < 2.0 - tol_trace, "elliptic"),
+    ):
+        clear = np.abs(q - threshold) > 1e-12
+        kinds[undecided & clear & passed] = loxo.enumeration._KINDS.index(kind)
+        undecided &= clear & ~passed
+    return kinds
+
+
+SCREEN_TOLERANCES = [0.0, 1e-9, 1e-6, 1e-3]
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
+def test_trace_kinds_match_the_five_test_reference(group):
+    entries = enumerate_ball(group, 6).entries
+    for tol_trace in SCREEN_TOLERANCES:
+        kinds = loxo.enumeration._trace_kinds(entries, tol_trace)
+        expected = reference_trace_kinds(entries, tol_trace)
+        assert kinds.dtype == expected.dtype
+        assert kinds.tolist() == expected.tolist()
+
+
+def adversarial_rows(rng, tol_trace):
+    """Rows at the edges of the screen's tests: +-identity within 1e-9,
+    +-identity at a distance within 1e-12 of tol along the real axis (so
+    that the trace lies near +-(2 + 2 tol)), traces within 1e-12 of +-2,
+    of +-(2 - tol) and of |Im| = tol, and rows with a non-finite entry."""
+    def near(x, scale):
+        return x + complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+    def with_trace(trace):
+        a = near(0.0, 3.0)
+        return [a, near(0.0, 3.0), near(0.0, 3.0), trace - a]
+
+    rows = []
+    for _ in range(200):
+        sign = rng.choice([1.0, -1.0])
+        small = rng.choice([1e-9, tol_trace, tol_trace + 1e-12, 1e-12])
+        rows.append([
+            near(sign, small), near(0.0, small), near(0.0, small),
+            near(sign, small),
+        ])
+        rows.append([
+            sign * (1.0 + tol_trace + rng.uniform(-1e-12, 1e-12)), 0j, 0j,
+            sign * (1.0 + tol_trace + rng.uniform(-1e-12, 1e-12)),
+        ])
+        for target in (2.0, 2.0 - tol_trace):
+            edge = rng.choice([1.0, -1.0]) * target
+            rows.append(with_trace(near(edge, 1e-12)))
+            rows.append(with_trace(complex(edge, rng.uniform(-1e-12, 1e-12))))
+        x = rng.uniform(-3.0, 3.0)
+        im = rng.choice([1.0, -1.0]) * tol_trace
+        rows.append(with_trace(complex(x, im + rng.uniform(-1e-12, 1e-12))))
+        rows.append(with_trace(complex(x, im)))
+        row = with_trace(near(2.0, 1e-12))
+        row[rng.randrange(4)] = rng.choice([
+            complex(math.inf, 0.0), complex(0.0, -math.inf),
+            complex(math.nan, 1.0), complex(1.0, math.nan),
+        ])
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
+def test_trace_kinds_match_the_five_test_reference_on_adversarial_rows():
+    rng = seeded("trace screen edges")
+    codes = set()
+    with np.errstate(invalid="ignore"):
+        for tol_trace in SCREEN_TOLERANCES:
+            entries = adversarial_rows(rng, tol_trace)
+            kinds = loxo.enumeration._trace_kinds(entries, tol_trace)
+            expected = reference_trace_kinds(entries, tol_trace)
+            assert kinds.tolist() == expected.tolist()
+            codes.update(expected.tolist())
+    # every kind and the undecided code occur among these rows
+    assert codes == set(range(6))
 
 
 @pytest.mark.parametrize("name", ["figure_eight", "funnel", "torus"])
@@ -782,6 +900,18 @@ def reference_shortest_screw(ball):
         (entry for entry in screws if entry[1] <= least * (1.0 + 1e-12)),
         key=lambda entry: entry[0].sort_key,
     )
+
+
+def test_shortest_screw_takes_one_complex_length_per_trace(length_traces):
+    # the scan of figure_eight's length-8 ball holds 204 screws, whose
+    # traces take 47 bit patterns
+    group = presentation(FIGURE_EIGHT)
+    ball = enumerate_ball(group, 8)
+    entry = shortest_screw(group, 8, ball=ball)
+    assert len(length_traces) == len(set(length_traces)) == 47
+    expected = reference_shortest_screw(ball)
+    assert entry.word is expected[0]
+    assert (entry.length, entry.angle) == expected[1:]
 
 
 @pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)

@@ -31,7 +31,7 @@ from loxo.errors import (
     ParseError,
     SingularGenerator,
 )
-from loxo.isometry import TOL_TRACE, MoebiusIsometry
+from loxo.isometry import TOL_TRACE, MoebiusIsometry, classify
 from loxo.pipeline import (
     Inconclusive,
     ManifoldReport,
@@ -645,6 +645,32 @@ def test_ambiguous_group_gives_thrice_punctured_evidence():
     report = classify_manifold(group, RunConfig(max_word_len=9))
     assert report.exit_code == EXIT_OK
     assert report.verdict.kind == "ThricePuncturedSphereEvidence"
+
+
+def figure_eight_nielsen_draw():
+    """figure_eight after a -> a b', then b -> b a twice."""
+    group, _ = load_group_file(fixture("figure_eight.json"))
+    a, b = group.generators
+    a = a * b.inverse()
+    return GroupPresentation([a, b * a * a], group.labels)
+
+
+def test_screw_search_skips_rows_classify_cannot_call_screws():
+    # the length-8 ball holds a word whose trace, 1.999999999008196 -
+    # 4.1e-10 i, lies in the band where classify raises; the screw search
+    # reads no undecided row with |Im tr| <= tol_trace, as none is a screw
+    group = figure_eight_nielsen_draw()
+    ball = enumerate_ball(group, 8)
+    undecided = np.flatnonzero(
+        ball.trace_kinds(TOL_TRACE) == loxo.enumeration._UNDECIDED
+    )
+    with pytest.raises(AmbiguousClass):
+        for i in undecided.tolist():
+            classify(ball[i].matrix)
+    for length in (6, 7, 8):
+        report = classify_manifold(group, RunConfig(max_word_len=length))
+        assert report.verdict.kind == "SimpleGeodesicFound"
+    assert report.to_dict()["geodesic"]["word"] == "a' b' b' b' a b b a"
 
 
 # Gamma(2) groups with the cusp pattern: the fixture, AMBIGUOUS_GROUP (the
