@@ -25,8 +25,8 @@ from .enumeration import (
     elementary_test,
     enumerate_ball,
     fuchsian_test,
-    geodesics,
     jorgensen_warnings,
+    shortest,
     shortest_screw,
     spectrum,
     thrice_punctured_test,

@@ -10,15 +10,14 @@ tolerance's reach, so equal elements are never split by rounding.
 The ball keeps its words' entries as one (N, 4) complex array, built a level
 at a time in numpy, with each word's prefix row and last letter; a word
 object is built only when it is read.  The surveys built on the ball (the
-length spectrum and the shortest screw motion) screen that array in one
-pass, whose kind of a row is final: the scalar classify runs only on the
-rows the screen cannot decide, and words are built only for what the
+length spectrum and the shortest word of given kinds) screen that array in
+one pass, whose kind of a row is final: the scalar classify runs only on
+the rows the screen cannot decide, and words are built only for what the
 surveys return.  The preserved-plane test decides screws from the traces
 of the generator products, not from the ball, and reads the ball only for
 a hyperbolic pair to span the plane.
 """
 
-import heapq
 import itertools
 import math
 from collections.abc import Sequence
@@ -603,16 +602,14 @@ def _translate_orbit(h, entries):
 
 
 # Relative slack between the numpy key cosh(l / 2) of a row and the cosh
-# of the length complex_length gives it (see geodesics).
+# of the length complex_length gives it, which differ by a few ulps times l.
 _KEY_SLACK = 1e-9
+# Lengths within this relative slack of the least tie.
+_TIE = 1e-12
 
 
-def geodesics(
-    group,
-    max_word_len,
-    length_cutoff=DEFAULT_CUTOFF,
-    tol_trace=TOL_TRACE,
-    ball=None,
+def spectrum(
+    group, max_word_len, length_cutoff=DEFAULT_CUTOFF, tol_trace=TOL_TRACE
 ):
     """The distinct short geodesics of the ball, shortest first.
 
@@ -622,60 +619,45 @@ def geodesics(
     half-turn about one lies within MERGE_TOL of some w h w^-1 for the
     other, with w the identity or a ball element.  Parabolic and identity
     words carry no length and are skipped.  Entries come sorted by length,
-    then angle, then shortlex word, and each is yielded as soon as no
-    unread word can precede it.
+    then angle, then shortlex word; the first of each class is kept.
 
-    Rows that ball.trace_kinds calls identity or parabolic are dropped.  Every
-    other row gets the key x = cosh(l / 2) of its trace, projected onto the
-    real axis where |Im tr| <= tol_trace as complex_length projects it, so
-    the key and the cosh of complex_length's l differ by a few ulps times
-    l, far inside the relative slack 1e-9.  A row's length is thus at least
-    its bound 2 arccosh(x / (1 + 1e-9)).  Rows whose bound exceeds
-    length_cutoff are dropped; the rest are read in key order, one row at a
-    time: each keeps the screen's kind (classify runs only on a row the
-    screen left undecided) and gets the scalar complex_length of its trace
-    (one call per distinct trace, see _trace_lengths), into a heap by
-    (length, angle, row).  The heap top is final once its length is below
-    the bound of every unread row; its word and axis are built when it is
-    popped.  ball, when given, must be an enumerate_ball result.
+    Rows the trace screen calls identity or parabolic go, and so do rows
+    whose bound 2 arccosh(x / (1 + _KEY_SLACK)) exceeds length_cutoff, x
+    the numpy key cosh(l / 2).  Every other row keeps the screen's kind
+    (classify runs only where it is undecided) and gets the complex_length
+    of its trace (see _trace_lengths); the rows within the cutoff are
+    sorted once by (length, angle, row).
     """
-    if ball is None:
-        ball = enumerate_ball(group, max_word_len)
+    ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
     kinds = ball.trace_kinds(tol_trace)
     rows = np.flatnonzero((kinds != _IDENTITY) & (kinds != _PARABOLIC))
     t = entries[rows, 0] + entries[rows, 3]
     x = _cosh_half_length(np.where(np.abs(t.imag) <= tol_trace, t.real, t))
     bound = 2.0 * np.arccosh(np.maximum(x / (1.0 + _KEY_SLACK), 1.0))
-    # rows past the cutoff go; a row whose key is not a number stays, last
+    # rows past the cutoff go; a row whose key is not a number stays
     keep = ~(bound > length_cutoff)
-    order = np.argsort(x[keep], kind="stable")
-    rows, bound, t = rows[keep][order], bound[keep][order], t[keep][order]
-
-    heap = []
+    rows, t = rows[keep], t[keep]
     length_of = _trace_lengths(t, tol_trace)
-    read = 0
+    candidates = []
+    for k, i in enumerate(rows.tolist()):
+        m = _row_matrix(entries, i)
+        kind = _kind(kinds[i], m, tol_trace)
+        if kind in ("identity", "parabolic"):
+            continue
+        cl = length_of(k, m)
+        if not cl.length > length_cutoff:
+            # ball rows are in shortlex order, so the row breaks ties
+            candidates.append((cl.length, cl.angle, i, kind, m))
+    candidates.sort()
+
+    kept = []
     # Kept reps whose length is within 1e-7 of the current candidate, as
     # [rep, its half-turn, its orbit array]; both are filled in on first
     # use.  Candidates come in length order, so a rep that falls behind
     # can never pass the length gate again and its orbit is dropped.
     near = []
-    while True:
-        while read < len(rows) and not (heap and heap[0][0] < bound[read]):
-            i = int(rows[read])
-            read += 1
-            m = _row_matrix(entries, i)
-            kind = _kind(kinds[i], m, tol_trace)
-            if kind in ("identity", "parabolic"):
-                continue
-            cl = length_of(read - 1, m)
-            if cl.length > length_cutoff:
-                continue
-            # ball rows are in shortlex order, so the row breaks ties
-            heapq.heappush(heap, (cl.length, cl.angle, i, kind, m))
-        if not heap:
-            return
-        length, angle, i, kind, m = heapq.heappop(heap)
+    for length, angle, i, kind, m in candidates:
         entry = SpectrumEntry(
             ball[i], kind, length, angle, axis_of(m, tol_trace)
         )
@@ -695,72 +677,90 @@ def geodesics(
                 break
         else:
             near.append([entry, h, None])
-            yield entry
+            kept.append(entry)
+    return kept
 
 
-def spectrum(
-    group, max_word_len, length_cutoff=DEFAULT_CUTOFF, tol_trace=TOL_TRACE
-):
-    """Rotation and translation lengths of the distinct short geodesics:
-    all of geodesics, as a list."""
-    return list(geodesics(group, max_word_len, length_cutoff, tol_trace))
+def shortest(ball, kinds, tol_trace):
+    """SpectrumEntry of least translation length among the rows of ball (an
+    enumerate_ball result) whose kind is in kinds, or None.
 
-
-# Screw lengths within this relative slack of the least tie.
-_TIE = 1e-12
-
-
-def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
-    """Screw element of least translation length, shortlex tie-break.
-
-    Lengths within a relative 1e-12 of the least tie, so that roundoff
-    does not choose among equal lengths: the first tied word in shortlex
-    order wins, with its own length and angle.  The rows scanned are the
-    screws near the least key and the rows the trace screen left undecided
-    with |Im tr| > tol_trace (classified here; classify calls no other row
-    a screw); each screw gets the scalar complex_length of its trace, once
-    per distinct trace.  ball, when given, must be an enumerate_ball
-    result; only the winner's word is built.
+    kinds names elliptic, hyperbolic or screw.  Lengths within a relative
+    _TIE of the least tie, so that roundoff does not choose among equal
+    lengths: the first tied row in shortlex order wins, with its own length
+    and angle.  The candidates are the screen's rows of those kinds and the
+    undecided rows classify could give such a kind.  A row's numpy key
+    cosh(l / 2) lies within a relative _KEY_SLACK of the cosh of its
+    length, so only candidates within that slack and the tie of the least
+    decided key (all undecided ones when none is decided) are classified,
+    if undecided, and get the complex_length of their trace (see
+    _trace_lengths).  Only the winner's word is built.
     """
-    if ball is None:
-        ball = enumerate_ball(group, max_word_len)
     entries = ball.entries
-    kinds = ball.trace_kinds(tol_trace)
-    scan = kinds == _UNDECIDED
-    # classify calls a row a screw only where |Im tr| > tol_trace
-    undecided = np.flatnonzero(scan)
-    t = entries[undecided, 0] + entries[undecided, 3]
-    scan[undecided[np.abs(t.imag) <= tol_trace]] = False
-    screws = np.flatnonzero(kinds == _SCREW)
-    if screws.size:
-        # cosh(l / 2) grows with the length l: scan the rows whose key is
-        # within the tie of the least key's length, with a further relative
-        # 1e-12 for the few ulps numpy's key and complex_length differ by
-        x = _cosh_half_length(entries[screws, 0] + entries[screws, 3])
-        least = math.acosh(max(float(x.min()), 1.0))
-        reach = math.cosh(least * (1.0 + _TIE)) * (1.0 + _TIE)
-        scan[screws[x <= reach]] = True
-    rows = np.flatnonzero(scan)
+    codes = ball.trace_kinds(tol_trace)
+    # (rows, keys) of the candidates: the screen's non-screws have
+    # |Im tr| <= tol_trace, so their keys take the real part
+    candidates = []
+    for kind in kinds:
+        rows = np.flatnonzero(codes == _KINDS.index(kind))
+        t = entries[rows, 0] + entries[rows, 3]
+        candidates.append(
+            (rows, _cosh_half_length(t if kind == "screw" else t.real))
+        )
+    least_key = min(
+        (float(x.min()) for _, x in candidates if x.size), default=None
+    )
+    rows = np.flatnonzero(codes == _UNDECIDED)
+    if rows.size:
+        t = entries[rows, 0] + entries[rows, 3]
+        # classify calls a row a screw only where |Im tr| > tol_trace, and
+        # gives it any other kind only where it is not
+        real = ~(np.abs(t.imag) > tol_trace)
+        possible = np.where(
+            real, any(kind != "screw" for kind in kinds), "screw" in kinds
+        )
+        x = _cosh_half_length(np.where(real, t.real, t))
+        candidates.append((rows[possible], x[possible]))
+    if least_key is not None:
+        # cosh(l / 2) grows with the length l: a row within the tie of the
+        # least length has its key at most this reach
+        reach = math.cosh(
+            math.acosh(max(least_key * (1.0 + _KEY_SLACK), 1.0))
+            * (1.0 + _TIE)
+        ) * (1.0 + _KEY_SLACK)
+        candidates = [(rows[x <= reach], x) for rows, x in candidates]
+    rows = np.sort(np.concatenate([rows for rows, _ in candidates]))
+    if not rows.size:
+        return None
     scanned = entries[rows]
     length_of = _trace_lengths(scanned[:, 0] + scanned[:, 3], tol_trace)
     found = []
     for k, (i, code, row) in enumerate(
-        zip(rows.tolist(), kinds[rows].tolist(), scanned.tolist())
+        zip(rows.tolist(), codes[rows].tolist(), scanned.tolist())
     ):
         m = _isometry(*row)
-        if _kind(code, m, tol_trace) == "screw":
-            found.append((i, length_of(k, m), m))
+        kind = _kind(code, m, tol_trace)
+        if kind in kinds:
+            found.append((i, kind, length_of(k, m), m))
     if not found:
         return None
-    least = min(cl.length for _, cl, _ in found)
+    least = min(cl.length for _, _, cl, _ in found)
     # ball rows are in shortlex order, so the first tied row wins; a length
     # that is not a number ties too, so the loop always stops
-    for i, cl, m in found:
+    for i, kind, cl, m in found:
         if not cl.length > least * (1.0 + _TIE):
             break
     return SpectrumEntry(
-        ball[i], "screw", cl.length, cl.angle, axis_of(m, tol_trace)
+        ball[i], kind, cl.length, cl.angle, axis_of(m, tol_trace)
     )
+
+
+def shortest_screw(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
+    """shortest of the screws of the ball; ball, when given, must be an
+    enumerate_ball result."""
+    if ball is None:
+        ball = enumerate_ball(group, max_word_len)
+    return shortest(ball, ("screw",), tol_trace)
 
 
 class FuchsianResult:

@@ -26,10 +26,9 @@ from .enumeration import (
     elementary_test,
     enumerate_ball,
     fuchsian_test,
-    geodesics,
     jorgensen_warnings,
     parabolic_generator_pair,
-    shortest_screw,
+    shortest,
 )
 from .errors import (
     EXIT_INCONCLUSIVE,
@@ -252,19 +251,14 @@ def _verdict(group, config, stage):
     # thrice_punctured_test), so its evidence needs no deeper ball
     ball = enumerate_ball(group, length if pair is None else min(length, 2))
 
-    def first(kinds, axis=None):
-        # the shortest stream entry of these kinds, on axis when given: the
-        # stream is read only on the branches that need it, and only so far
-        stage[0] = "geodesic stream" + bound
-        for e in geodesics(
-            group, length, config.length_cutoff, tol_trace, ball=ball
-        ):
-            if e.kind in kinds and (axis is None or same_line(e.axis, axis)):
-                return e
-        return None
-
+    cutoff = config.length_cutoff
     if elem.verdict == "limit_points_2":
-        entry = first(("hyperbolic", "screw"), elem.axis)
+        stage[0] = "geodesic stream" + bound
+        entry = shortest(ball, ("hyperbolic", "screw"), tol_trace)
+        if entry is not None and (
+            entry.length > cutoff or not same_line(entry.axis, elem.axis)
+        ):
+            entry = None
         absent = (
             "two limit points, but the ball has no loxodromic word on the "
             "common axis below the length cutoff"
@@ -272,26 +266,29 @@ def _verdict(group, config, stage):
     else:
         stage[0] = "plane test" + bound
         fuch = fuchsian_test(group, length, tol_trace, ball=ball)
-        if fuch.verdict == "all_non_screw_with_plane":
-            if pair is not None:
-                return ThricePuncturedSphereEvidence(*pair, fuch.plane)
-            entry = first(("hyperbolic",))
-            absent = (
-                "ball preserves a plane but contains no hyperbolic word "
-                "below the length cutoff"
-            )
-        elif fuch.verdict == "screw_found":
+        if fuch.verdict == "screw_found":
             stage[0] = "shortest screw search" + bound
-            entry = shortest_screw(group, length, tol_trace, ball=ball)
+            entry = shortest(ball, ("screw",), tol_trace)
             if entry is None:
                 entry = _entry_from_word(fuch.witness, tol_trace)
         else:
-            # no two hyperbolic words with distinct endpoints
-            entry = first(("hyperbolic",))
-            absent = (
-                "generators pass the non-elementary test but the ball "
-                "shows no certifiable loxodromic geodesic"
-            )
+            if fuch.verdict == "all_non_screw_with_plane":
+                if pair is not None:
+                    return ThricePuncturedSphereEvidence(*pair, fuch.plane)
+                absent = (
+                    "ball preserves a plane but contains no hyperbolic word "
+                    "below the length cutoff"
+                )
+            else:
+                # no two hyperbolic words with distinct endpoints
+                absent = (
+                    "generators pass the non-elementary test but the ball "
+                    "shows no certifiable loxodromic geodesic"
+                )
+            stage[0] = "geodesic stream" + bound
+            entry = shortest(ball, ("hyperbolic",), tol_trace)
+            if entry is not None and entry.length > cutoff:
+                entry = None
     if entry is None:
         return Inconclusive(absent)
     stage[0] = "simplicity check of " + entry.word.name

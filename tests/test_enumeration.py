@@ -16,8 +16,8 @@ from loxo.enumeration import (
     elementary_test,
     enumerate_ball,
     fuchsian_test,
-    geodesics,
     jorgensen_warnings,
+    shortest,
     shortest_screw,
     spectrum,
     thrice_punctured_test,
@@ -651,7 +651,7 @@ def stream_groups():
 def test_geodesics_match_eager_reference(group):
     for length in range(1, 7):
         ball = enumerate_ball(group, length)
-        assert spectrum_rows(geodesics(group, length, ball=ball)) == spectrum_rows(
+        assert spectrum_rows(spectrum(group, length)) == spectrum_rows(
             eager_spectrum(ball)
         )
 
@@ -671,10 +671,10 @@ def length_traces(monkeypatch):
 
 
 def test_geodesics_take_one_complex_length_per_trace(length_traces):
-    # the 72 words torus's length-6 stream reads before its first entry
-    # all have the trace of a
+    # the words of torus's length-6 ball within the window of its least
+    # key all have the trace of a
     group = dict(reference_groups())["torus"]
-    entry = next(geodesics(group, 6))
+    entry = shortest(enumerate_ball(group, 6), ("hyperbolic",), TOL_TRACE)
     assert entry.word.name == "a"
     assert len(length_traces) == 1
 
@@ -684,11 +684,11 @@ def test_geodesics_keep_lengths_equal_to_the_cutoff():
     ball = enumerate_ball(group, 6)
     # 2 arccosh 1.5, the length of a, b and a b
     cutoff = complex_length(group.generators[0]).length
-    entries = list(geodesics(group, 6, cutoff, ball=ball))
+    entries = spectrum(group, 6, cutoff)
     assert [e.word.name for e in entries] == ["a", "b", "a b"]
     assert spectrum_rows(entries) == spectrum_rows(eager_spectrum(ball, cutoff))
     below = float(np.nextafter(cutoff, 0.0))
-    assert list(geodesics(group, 6, below, ball=ball)) == []
+    assert spectrum(group, 6, below) == []
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +822,7 @@ def test_ball_kernels_keep_the_screen_kinds(monkeypatch, name):
     assert not (kinds == loxo.enumeration._UNDECIDED).any()
 
     def run():
-        entries = list(geodesics(group, 6, ball=ball))
+        entries = spectrum(group, 6)
         screw = shortest_screw(group, 6, ball=ball)
         fuch = fuchsian_test(group, 6, ball=ball)
         return (
@@ -884,20 +884,20 @@ def test_shortest_screw_shrinks_with_radius():
     assert lengths[0] >= lengths[1] >= lengths[2]
 
 
-def reference_shortest_screw(ball):
-    """shortest_screw as a scalar loop: (word, length, angle) or None.
-    Lengths within a relative 1e-12 of the least tie, and the first tied
-    word in shortlex order wins."""
-    screws = []
+def reference_shortest(ball, kinds):
+    """shortest as a scalar loop: (word, length, angle) or None.  Lengths
+    within a relative 1e-12 of the least tie, and the first tied word in
+    shortlex order wins."""
+    found = []
     for word in ball:
-        if classify(word.matrix) == "screw":
+        if classify(word.matrix) in kinds:
             cl = complex_length(word.matrix)
-            screws.append((word, cl.length, cl.angle))
-    if not screws:
+            found.append((word, cl.length, cl.angle))
+    if not found:
         return None
-    least = min(length for _, length, _ in screws)
+    least = min(length for _, length, _ in found)
     return min(
-        (entry for entry in screws if entry[1] <= least * (1.0 + 1e-12)),
+        (entry for entry in found if entry[1] <= least * (1.0 + 1e-12)),
         key=lambda entry: entry[0].sort_key,
     )
 
@@ -909,22 +909,32 @@ def test_shortest_screw_takes_one_complex_length_per_trace(length_traces):
     ball = enumerate_ball(group, 8)
     entry = shortest_screw(group, 8, ball=ball)
     assert len(length_traces) == len(set(length_traces)) == 47
-    expected = reference_shortest_screw(ball)
+    expected = reference_shortest(ball, ("screw",))
     assert entry.word is expected[0]
     assert (entry.length, entry.angle) == expected[1:]
 
 
 @pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
 def test_shortest_screw_matches_scalar_reference(group):
-    for length in range(1, 6):
+    # shortest_screw, and the kernel on the verdicts' other kind sets
+    for length in range(1, 7):
         ball = enumerate_ball(group, length)
-        entry = shortest_screw(group, length, ball=ball)
-        expected = reference_shortest_screw(ball)
-        if expected is None:
-            assert entry is None
-            continue
-        assert entry.word is expected[0]
-        assert (entry.length, entry.angle) == expected[1:]
+        runs = [
+            (("screw",), shortest_screw(group, length, ball=ball)),
+            (("hyperbolic",), shortest(ball, ("hyperbolic",), TOL_TRACE)),
+            (
+                ("hyperbolic", "screw"),
+                shortest(ball, ("hyperbolic", "screw"), TOL_TRACE),
+            ),
+        ]
+        for kinds, entry in runs:
+            expected = reference_shortest(ball, kinds)
+            if expected is None:
+                assert entry is None
+                continue
+            assert entry.kind in kinds
+            assert entry.word is expected[0]
+            assert (entry.length, entry.angle) == expected[1:]
 
 
 # ---------------------------------------------------------------------------

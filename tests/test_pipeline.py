@@ -41,7 +41,7 @@ from loxo.pipeline import (
     load_group_file,
 )
 
-from conftest import random_isometry, reference_groups, seeded
+from conftest import float_groups, random_isometry, reference_groups, seeded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -436,22 +436,23 @@ def test_torus_a_certifies_past_its_stabilizer_powers(length):
 
 
 def test_verdicts_without_spectrum(monkeypatch):
-    # the screw and thrice-punctured branches never read the geodesic stream
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("spectrum built on a branch that does not read it")
+    # a verdict reads one candidate per branch, never the spectrum's
+    # translate dedupe
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("translate orbit built for a verdict")
 
-    monkeypatch.setattr(loxo.pipeline, "geodesics", no_spectrum)
-    config = RunConfig(max_word_len=4)
-    for name, kind in (
-        ("figure_eight.json", "SimpleGeodesicFound"),
-        ("thrice_punctured.json", "ThricePuncturedSphereEvidence"),
-    ):
-        group, _ = load_group_file(fixture(name))
-        assert classify_manifold(group, config).verdict.kind == kind
+    monkeypatch.setattr(loxo.enumeration, "_translate_orbit", no_orbit)
+    kinds = {
+        "thrice_punctured": "ThricePuncturedSphereEvidence",
+        "single_parabolic": "Elementary",
+    }
+    for name, group in reference_groups():
+        report = classify_manifold(group, RunConfig(max_word_len=4))
+        assert report.verdict.kind == kinds.get(name, "SimpleGeodesicFound")
 
 
 def test_verdicts_screen_trace_kinds_once(monkeypatch):
-    # fuchsian_test, shortest_screw and geodesics read the ball's one screen
+    # fuchsian_test and shortest read the ball's one screen
     calls = []
     screen = loxo.enumeration._trace_kinds
 
@@ -478,6 +479,79 @@ def test_verdicts_stop_at_the_first_certified_geodesic(monkeypatch):
     for name in ("funnel", "torus"):
         report = classify_manifold(groups[name], RunConfig(max_word_len=6))
         assert report.verdict.kind == "SimpleGeodesicFound"
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        (
+            "funnel",
+            "ball preserves a plane but contains no hyperbolic word below "
+            "the length cutoff",
+        ),
+        (
+            "diag_hyperbolic",
+            "two limit points, but the ball has no loxodromic word on the "
+            "common axis below the length cutoff",
+        ),
+        # the screw branch takes no cutoff
+        ("figure_eight", None),
+    ],
+    ids=["plane", "limit_points_2", "screw"],
+)
+def test_verdict_candidates_keep_the_length_cutoff(name, reason):
+    group = dict(reference_groups())[name]
+    entry = classify_manifold(group, RunConfig(max_word_len=4)).verdict.entry
+    at = RunConfig(max_word_len=4, length_cutoff=entry.length)
+    assert classify_manifold(group, at).verdict.entry.length == entry.length
+    below = float(np.nextafter(entry.length, 0.0))
+    verdict = classify_manifold(
+        group, RunConfig(max_word_len=4, length_cutoff=below)
+    ).verdict
+    if reason is None:
+        assert verdict.entry.word.name == entry.word.name
+    else:
+        assert verdict.reason == reason
+
+
+# the word the base group certifies: the funnel's boundary and the
+# torus's systole
+BASE_WORDS = {"funnel": "a b'", "torus": "a"}
+
+
+@pytest.mark.parametrize(
+    "name, length",
+    [
+        (name, length)
+        for name in (
+            "funnel conjugate", "funnel diagonal",
+            "torus conjugate", "torus diagonal",
+        )
+        for length in range(2, 6)
+    ] + [
+        pytest.param(
+            "torus conjugate", 6,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="b a' b a a b' is shorter than a by more than the "
+                "1e-12 tie in floating point; a tie window from a per-row "
+                "roundoff bound of the trace screen (ROADMAP item 1) "
+                "mends it",
+            ),
+        ),
+    ],
+)
+def test_conjugates_certify_the_base_word(name, length):
+    # every spelling of the systole's class ties in length, and the
+    # shortlex-first one wins whatever the coordinates
+    base = dict(reference_groups())[name.split()[0]]
+    group = dict(float_groups())[name]
+    config = RunConfig(max_word_len=length)
+    expected = classify_manifold(base, config).verdict.entry
+    entry = classify_manifold(group, config).verdict.entry
+    assert expected.word.name == BASE_WORDS[name.split()[0]]
+    assert entry.word.name == expected.word.name
+    assert abs(entry.length - expected.length) <= 1e-12
 
 
 # Gamma(2) on the bases <a, b a> and <a, b a^3> of the thrice_punctured
@@ -622,9 +696,10 @@ FUNNEL_GROUP = ((1, 2, 0, 1), (1, 0, 3, 1))
 
 @pytest.fixture
 def ambiguous_stream(monkeypatch):
-    """Once the geodesic stream starts, the trace screen leaves every ball
-    row undecided and classify in loxo.enumeration raises AmbiguousClass."""
-    stream = loxo.pipeline.geodesics
+    """Once the shortest-candidate kernel starts, the trace screen leaves
+    every ball row undecided and classify in loxo.enumeration raises
+    AmbiguousClass."""
+    kernel = loxo.pipeline.shortest
 
     def undecided(ball, tol_trace):
         return np.full(len(ball), loxo.enumeration._UNDECIDED, dtype=np.int8)
@@ -632,12 +707,12 @@ def ambiguous_stream(monkeypatch):
     def ambiguous(m, tol_trace):
         raise AmbiguousClass("real trace %r" % (m.trace,))
 
-    def geodesics(*args, **kwargs):
+    def shortest(*args, **kwargs):
         monkeypatch.setattr(loxo.enumeration.Ball, "trace_kinds", undecided)
         monkeypatch.setattr(loxo.enumeration, "classify", ambiguous)
-        yield from stream(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(loxo.pipeline, "geodesics", geodesics)
+    monkeypatch.setattr(loxo.pipeline, "shortest", shortest)
 
 
 def test_ambiguous_group_gives_thrice_punctured_evidence():
@@ -802,7 +877,7 @@ def test_ambiguous_generator_is_inconclusive():
         ("elementary_test", "elementary test"),
         ("enumerate_ball", "word ball up to length 4"),
         ("fuchsian_test", "plane test up to length 4"),
-        ("shortest_screw", "shortest screw search up to length 4"),
+        ("shortest", "shortest screw search up to length 4"),
         ("simplicity_check", "simplicity check of a b"),
     ],
 )
