@@ -316,11 +316,12 @@ def build_parser():
         "decompose", help="factor a matrix into two half-turns"
     )
     _add_matrices(sub, "--matrix")
-    sub.add_argument(
+    free = sub.add_mutually_exclusive_group()
+    free.add_argument(
         "--free-point", type=_finite_float, nargs=2, metavar=("RE", "IM"),
         help="free ideal endpoint for a parabolic input",
     )
-    sub.add_argument(
+    free.add_argument(
         "--free-line", type=_finite_float, nargs=4,
         metavar=("P_RE", "P_IM", "Q_RE", "Q_IM"),
         help="free axis, must cross the input's axis at a right angle",

@@ -10,12 +10,12 @@ tolerance's reach, so equal elements are never split by rounding.
 The ball keeps its words' entries as one (N, 4) complex array, built a level
 at a time in numpy, with each word's prefix row and last letter; a word
 object is built only when it is read.  The surveys built on the ball (the
-length spectrum and the shortest word of given kinds) screen that array in
-one pass, whose kind of a row is final: the scalar classify runs only on
-the rows the screen cannot decide, and words are built only for what the
-surveys return.  The preserved-plane test decides screws from the traces
-of the generator products, not from the ball, and reads the ball only for
-a hyperbolic pair to span the plane.
+length spectrum and the shortest word of given kinds) read it through one
+candidate scan over one screen pass, whose kind of a row is final: the
+scalar classify runs only on the rows the screen cannot decide, and words
+are built only for what the surveys return.  The preserved-plane test
+decides screws from the traces of the generator products, not from the
+ball, and reads the ball only for a hyperbolic pair to span the plane.
 """
 
 import itertools
@@ -608,93 +608,18 @@ _KEY_SLACK = 1e-9
 _TIE = 1e-12
 
 
-def spectrum(
-    group, max_word_len, length_cutoff=DEFAULT_CUTOFF, tol_trace=TOL_TRACE
-):
-    """The distinct short geodesics of the ball, shortest first.
+def _scan(ball, kinds, tol_trace, length_bound):
+    """(row, kind, ComplexLength, matrix) of the candidate rows of ball (an
+    enumerate_ball result) whose kind is in kinds, in ball order.
 
-    Each elliptic, hyperbolic, or screw element of the ball contributes its
-    axis; entries whose complex lengths agree within 1e-7 are identified
-    when one axis is a ball-translate of the other, that is when the
-    half-turn about one lies within MERGE_TOL of some w h w^-1 for the
-    other, with w the identity or a ball element.  Parabolic and identity
-    words carry no length and are skipped.  Entries come sorted by length,
-    then angle, then shortlex word; the first of each class is kept.
-
-    Rows the trace screen calls identity or parabolic go, and so do rows
-    whose bound 2 arccosh(x / (1 + _KEY_SLACK)) exceeds length_cutoff, x
-    the numpy key cosh(l / 2).  Every other row keeps the screen's kind
-    (classify runs only where it is undecided) and gets the complex_length
-    of its trace (see _trace_lengths); the rows within the cutoff are
-    sorted once by (length, angle, row).
-    """
-    ball = enumerate_ball(group, max_word_len)
-    entries = ball.entries
-    kinds = ball.trace_kinds(tol_trace)
-    rows = np.flatnonzero((kinds != _IDENTITY) & (kinds != _PARABOLIC))
-    t = entries[rows, 0] + entries[rows, 3]
-    x = _cosh_half_length(np.where(np.abs(t.imag) <= tol_trace, t.real, t))
-    bound = 2.0 * np.arccosh(np.maximum(x / (1.0 + _KEY_SLACK), 1.0))
-    # rows past the cutoff go; a row whose key is not a number stays
-    keep = ~(bound > length_cutoff)
-    rows, t = rows[keep], t[keep]
-    length_of = _trace_lengths(t, tol_trace)
-    candidates = []
-    for k, i in enumerate(rows.tolist()):
-        m = _row_matrix(entries, i)
-        kind = _kind(kinds[i], m, tol_trace)
-        if kind in ("identity", "parabolic"):
-            continue
-        cl = length_of(k, m)
-        if not cl.length > length_cutoff:
-            # ball rows are in shortlex order, so the row breaks ties
-            candidates.append((cl.length, cl.angle, i, kind, m))
-    candidates.sort()
-
-    kept = []
-    # Kept reps whose length is within 1e-7 of the current candidate, as
-    # [rep, its half-turn, its orbit array]; both are filled in on first
-    # use.  Candidates come in length order, so a rep that falls behind
-    # can never pass the length gate again and its orbit is dropped.
-    near = []
-    for length, angle, i, kind, m in candidates:
-        entry = SpectrumEntry(
-            ball[i], kind, length, angle, axis_of(m, tol_trace)
-        )
-        near = [slot for slot in near if entry.length - slot[0].length <= 1e-7]
-        h = None
-        for slot in near:
-            rep, rep_h, orbit = slot
-            if abs(entry.angle - rep.angle) > 1e-7:
-                continue
-            if h is None:
-                h = halfturn_matrix(entry.axis)
-            if orbit is None:
-                if rep_h is None:
-                    rep_h = halfturn_matrix(rep.axis)
-                orbit = slot[2] = _translate_orbit(rep_h, entries)
-            if orbit.find(h) is not None:
-                break
-        else:
-            near.append([entry, h, None])
-            kept.append(entry)
-    return kept
-
-
-def shortest(ball, kinds, tol_trace):
-    """SpectrumEntry of least translation length among the rows of ball (an
-    enumerate_ball result) whose kind is in kinds, or None.
-
-    kinds names elliptic, hyperbolic or screw.  Lengths within a relative
-    _TIE of the least tie, so that roundoff does not choose among equal
-    lengths: the first tied row in shortlex order wins, with its own length
-    and angle.  The candidates are the screen's rows of those kinds and the
-    undecided rows classify could give such a kind.  A row's numpy key
-    cosh(l / 2) lies within a relative _KEY_SLACK of the cosh of its
-    length, so only candidates within that slack and the tie of the least
-    decided key (all undecided ones when none is decided) are classified,
-    if undecided, and get the complex_length of their trace (see
-    _trace_lengths).  Only the winner's word is built.
+    kinds names elliptic, hyperbolic or screw.  The candidates are the
+    screen's rows of those kinds and the undecided rows classify could give
+    such a kind.  A row's numpy key cosh(l / 2) lies within a relative
+    _KEY_SLACK of the cosh of its length, so only the candidates whose key
+    allows a length of at most length_bound(least) are read, least the
+    most length the least decided key allows (inf when no candidate is
+    decided).  Each of them is classified only if undecided and gets the
+    complex_length of its trace (see _trace_lengths).
     """
     entries = ball.entries
     codes = ball.trace_kinds(tol_trace)
@@ -708,7 +633,7 @@ def shortest(ball, kinds, tol_trace):
             (rows, _cosh_half_length(t if kind == "screw" else t.real))
         )
     least_key = min(
-        (float(x.min()) for _, x in candidates if x.size), default=None
+        (float(x.min()) for _, x in candidates if x.size), default=math.inf
     )
     rows = np.flatnonzero(codes == _UNDECIDED)
     if rows.size:
@@ -721,17 +646,17 @@ def shortest(ball, kinds, tol_trace):
         )
         x = _cosh_half_length(np.where(real, t.real, t))
         candidates.append((rows[possible], x[possible]))
-    if least_key is not None:
-        # cosh(l / 2) grows with the length l: a row within the tie of the
-        # least length has its key at most this reach
-        reach = math.cosh(
-            math.acosh(max(least_key * (1.0 + _KEY_SLACK), 1.0))
-            * (1.0 + _TIE)
-        ) * (1.0 + _KEY_SLACK)
-        candidates = [(rows[x <= reach], x) for rows, x in candidates]
-    rows = np.sort(np.concatenate([rows for rows, _ in candidates]))
+    # cosh(l / 2) grows with the length l
+    least = 2.0 * math.acosh(max(least_key * (1.0 + _KEY_SLACK), 1.0))
+    try:
+        reach = math.cosh(length_bound(least) / 2.0) * (1.0 + _KEY_SLACK)
+    except OverflowError:
+        reach = math.inf
+    rows = np.sort(
+        np.concatenate([rows[x <= reach] for rows, x in candidates])
+    )
     if not rows.size:
-        return None
+        return []
     scanned = entries[rows]
     length_of = _trace_lengths(scanned[:, 0] + scanned[:, 3], tol_trace)
     found = []
@@ -742,6 +667,77 @@ def shortest(ball, kinds, tol_trace):
         kind = _kind(code, m, tol_trace)
         if kind in kinds:
             found.append((i, kind, length_of(k, m), m))
+    return found
+
+
+def spectrum(
+    group, max_word_len, length_cutoff=DEFAULT_CUTOFF, tol_trace=TOL_TRACE
+):
+    """The distinct short geodesics of the ball, shortest first.
+
+    Each elliptic, hyperbolic, or screw element of the ball contributes its
+    axis; entries whose complex lengths agree within 1e-7 are identified
+    when one axis is a ball-translate of the other, that is when the
+    half-turn about one lies within MERGE_TOL of some w h w^-1 for the
+    other, with w the identity or a ball element.  Parabolic and identity
+    words carry no length and are skipped.  Entries come sorted by length,
+    then angle, then shortlex word; the first of each class is kept.
+
+    The _scan rows within length_cutoff are sorted once by (length,
+    angle, row).
+    """
+    ball = enumerate_ball(group, max_word_len)
+    kinds = ("elliptic", "hyperbolic", "screw")
+    found = _scan(ball, kinds, tol_trace, lambda least: length_cutoff)
+    # ball rows are in shortlex order, so the row breaks ties
+    candidates = sorted(
+        (cl.length, cl.angle, i, kind, m)
+        for i, kind, cl, m in found
+        if not cl.length > length_cutoff
+    )
+
+    kept = []
+    # Kept reps whose length is within 1e-7 of the current candidate, as
+    # [rep, its orbit]; the orbit is built on first use.  Candidates come
+    # in length order, so a rep that falls behind can never pass the
+    # length gate again and its orbit is dropped.
+    near = []
+    for length, angle, i, kind, m in candidates:
+        entry = SpectrumEntry(
+            ball[i], kind, length, angle, axis_of(m, tol_trace)
+        )
+        near = [slot for slot in near if entry.length - slot[0].length <= 1e-7]
+        h = None
+        for slot in near:
+            rep, orbit = slot
+            if abs(entry.angle - rep.angle) > 1e-7:
+                continue
+            if h is None:
+                h = halfturn_matrix(entry.axis)
+            if orbit is None:
+                orbit = slot[1] = _translate_orbit(
+                    halfturn_matrix(rep.axis), ball.entries
+                )
+            if orbit.find(h) is not None:
+                break
+        else:
+            near.append([entry, None])
+            kept.append(entry)
+    return kept
+
+
+def shortest(ball, kinds, tol_trace):
+    """SpectrumEntry of least translation length among the rows of ball (an
+    enumerate_ball result) whose kind is in kinds, or None.
+
+    kinds names elliptic, hyperbolic or screw.  Lengths within a relative
+    _TIE of the least tie, so that roundoff does not choose among equal
+    lengths: the first tied row in shortlex order wins, with its own length
+    and angle.  The candidates are the _scan of the ball within the tie of
+    the least decided length (all of them when none is decided).  Only the
+    winner's word is built.
+    """
+    found = _scan(ball, kinds, tol_trace, lambda least: least * (1.0 + _TIE))
     if not found:
         return None
     least = min(cl.length for _, _, cl, _ in found)

@@ -1190,6 +1190,17 @@ def test_cli_decompose_translation(capsys):
     assert data["first_axis"] == ["inf", [1.0, 0.0]]
 
 
+def test_cli_decompose_takes_one_free_choice(capsys):
+    # with both, the free line of this hyperbolic input used to be dropped
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "decompose", "--matrix", "2", "0", "0", "0", "0", "0", "0.5", "0",
+            "--free-point", "0", "0", "--free-line", "-1", "0", "1", "0",
+        ])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_cli_shared_decomposition(capsys):
     code, out, _ = run_cli(
         capsys,
