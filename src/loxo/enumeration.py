@@ -958,19 +958,19 @@ def thrice_punctured_test(
     reaches fuchsian_test.
 
     The plane is spanned by the first hyperbolic pair of ball, by default
-    the ball of length min(max_word_len, 2).  A non-elementary group with
-    the cusp pattern has the traces (+-2, +-2, -+2) of Gamma(2) and is
-    conjugate to it; its words of length 2 hold two hyperbolic words with
-    distinct axes (a b and a' b', or a b' and a' b), and the first
-    hyperbolic word's first partner lies among them.  The ball of length 2
-    is the first rows of any longer ball, bit for bit, so a longer ball
-    gives the same pair and the same plane.
+    the ball of length 2; at max_word_len 1, whose words are all parabolic,
+    there is none.  A non-elementary group with the cusp pattern has the
+    traces (+-2, +-2, -+2) of Gamma(2) and is conjugate to it; its words of
+    length 2 hold two hyperbolic words with distinct axes (a b and a' b',
+    or a b' and a' b), and the first hyperbolic word's first partner lies
+    among them.  The ball of length 2 is the first rows of any longer ball,
+    bit for bit, so a longer ball gives the same pair and the same plane.
     """
     pair = parabolic_generator_pair(group, tol_trace)
-    if pair is None:
+    if pair is None or max_word_len < 2:
         return None
     if ball is None:
-        ball = enumerate_ball(group, min(max_word_len, 2))
+        ball = enumerate_ball(group, 2)
     result = fuchsian_test(group, max_word_len, tol_trace, ball=ball)
     if result.verdict != "all_non_screw_with_plane":
         return None

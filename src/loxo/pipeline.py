@@ -21,14 +21,13 @@ from .enumeration import (
     DEFAULT_WORD_LEN,
     GroupPresentation,
     SpectrumEntry,
-    ThricePuncturedSphereEvidence,
+    _character_screw,
     _spells_letters,
     elementary_test,
     enumerate_ball,
-    fuchsian_test,
     jorgensen_warnings,
-    parabolic_generator_pair,
     shortest,
+    thrice_punctured_test,
 )
 from .errors import (
     EXIT_INCONCLUSIVE,
@@ -81,14 +80,14 @@ class RunConfig:
                 "word bound must lie in 1..%d, got %r"
                 % (MAX_WORD_LEN_LIMIT, max_word_len)
             )
-        if not _is_number(length_cutoff) or not length_cutoff > 0:
+        if not _is_number(length_cutoff) or not 0 < length_cutoff < math.inf:
             raise OutOfRange(
-                "length cutoff must be a positive number, got %r"
+                "length cutoff must be a positive finite number, got %r"
                 % (length_cutoff,)
             )
-        if not _is_number(tol_trace) or not tol_trace >= 0:
+        if not _is_number(tol_trace) or not 0 <= tol_trace < math.inf:
             raise OutOfRange(
-                "trace tolerance must be a nonnegative number, got %r"
+                "trace tolerance must be a nonnegative finite number, got %r"
                 % (tol_trace,)
             )
         self.max_word_len = max_word_len
@@ -242,14 +241,13 @@ def _verdict(group, config, stage):
     elem = elementary_test(group, tol_trace)
     if elem.verdict == "limit_points_0_or_1":
         return Elementary("0_or_1")
-    pair = None
     if elem.verdict == "non_elementary":
         stage[0] = "plane test" + bound
-        pair = parabolic_generator_pair(group, tol_trace)
+        evidence = thrice_punctured_test(group, length, tol_trace)
+        if evidence is not None:
+            return evidence
     stage[0] = "word ball" + bound
-    # the cusp pattern's plane is spanned by words of length 2 (see
-    # thrice_punctured_test), so its evidence needs no deeper ball
-    ball = enumerate_ball(group, length if pair is None else min(length, 2))
+    ball = enumerate_ball(group, length)
 
     cutoff = config.length_cutoff
     if elem.verdict == "limit_points_2":
@@ -264,31 +262,29 @@ def _verdict(group, config, stage):
             "common axis below the length cutoff"
         )
     else:
-        stage[0] = "plane test" + bound
-        fuch = fuchsian_test(group, length, tol_trace, ball=ball)
-        if fuch.verdict == "screw_found":
+        screw = _character_screw(group, tol_trace)
+        if screw is not None:
             stage[0] = "shortest screw search" + bound
             entry = shortest(ball, ("screw",), tol_trace)
             if entry is None:
-                entry = _entry_from_word(fuch.witness, tol_trace)
+                # the character's screw is longer than the ball's words
+                entry = _entry_from_word(group.word(screw), tol_trace)
         else:
-            if fuch.verdict == "all_non_screw_with_plane":
-                if pair is not None:
-                    return ThricePuncturedSphereEvidence(*pair, fuch.plane)
-                absent = (
-                    "ball preserves a plane but contains no hyperbolic word "
-                    "below the length cutoff"
-                )
-            else:
-                # no two hyperbolic words with distinct endpoints
+            # real traces and a non-elementary group: the group keeps a
+            # plane (B. Maskit, Kleinian Groups, 1988)
+            stage[0] = "geodesic stream" + bound
+            entry = shortest(ball, ("hyperbolic",), tol_trace)
+            if entry is None:
                 absent = (
                     "generators pass the non-elementary test but the ball "
                     "shows no certifiable loxodromic geodesic"
                 )
-            stage[0] = "geodesic stream" + bound
-            entry = shortest(ball, ("hyperbolic",), tol_trace)
-            if entry is not None and entry.length > cutoff:
+            elif entry.length > cutoff:
                 entry = None
+                absent = (
+                    "ball preserves a plane but contains no hyperbolic word "
+                    "below the length cutoff"
+                )
     if entry is None:
         return Inconclusive(absent)
     stage[0] = "simplicity check of " + entry.word.name

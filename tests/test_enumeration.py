@@ -1298,6 +1298,13 @@ def test_thrice_punctured_builds_the_length_2_ball(ball_lengths):
     assert evidence.detail() == full.detail()
 
 
+def test_thrice_punctured_builds_no_ball_at_length_1(ball_lengths):
+    # the words of length 1 of the cusp pattern are all parabolic
+    group = presentation(THRICE_PUNCTURED)
+    assert thrice_punctured_test(group, max_word_len=1) is None
+    assert ball_lengths == []
+
+
 def test_thrice_punctured_rejects_screw_group():
     group = presentation(FIGURE_EIGHT)
     assert thrice_punctured_test(group, max_word_len=2) is None

@@ -10,11 +10,14 @@ import pytest
 import loxo.enumeration
 import loxo.pipeline
 from loxo.cli import build_parser, main
+from loxo.certification import simplicity_check
 from loxo.enumeration import (
+    FuchsianResult,
     GroupPresentation,
     enumerate_ball,
     jorgensen_warnings,
     parabolic_generator_pair,
+    shortest,
     spectrum,
     thrice_punctured_test,
 )
@@ -73,6 +76,8 @@ def test_config_validation():
         RunConfig(length_cutoff=0.0)
     with pytest.raises(OutOfRange):
         RunConfig(length_cutoff=float("nan"))
+    with pytest.raises(OutOfRange):
+        RunConfig(length_cutoff=math.inf)
 
 
 @pytest.mark.parametrize("bound", [6.0, True, "6", None])
@@ -81,7 +86,7 @@ def test_config_takes_only_an_integer_word_bound(bound):
         RunConfig(max_word_len=bound)
 
 
-@pytest.mark.parametrize("tol", [-1e-12, float("nan"), -math.inf])
+@pytest.mark.parametrize("tol", [-1e-12, float("nan"), -math.inf, math.inf])
 def test_config_rejects_bad_trace_tolerance(tol):
     with pytest.raises(OutOfRange):
         RunConfig(tol_trace=tol)
@@ -452,7 +457,7 @@ def test_verdicts_without_spectrum(monkeypatch):
 
 
 def test_verdicts_screen_trace_kinds_once(monkeypatch):
-    # fuchsian_test and shortest read the ball's one screen
+    # a verdict screens the one ball it reads once
     calls = []
     screen = loxo.enumeration._trace_kinds
 
@@ -693,6 +698,15 @@ AMBIGUOUS_GENERATOR_GROUP = (
 
 FUNNEL_GROUP = ((1, 2, 0, 1), (1, 0, 3, 1))
 
+BELOW_CUTOFF = (
+    "ball preserves a plane but contains no hyperbolic word below the "
+    "length cutoff"
+)
+NO_LOXODROMIC = (
+    "generators pass the non-elementary test but the ball shows no "
+    "certifiable loxodromic geodesic"
+)
+
 
 @pytest.fixture
 def ambiguous_stream(monkeypatch):
@@ -798,15 +812,17 @@ def test_cusp_pattern_report_equals_full_ball_evidence(group, length):
     "kernel, stage",
     [
         ("parabolic_generator_pair", "plane test up to length 4"),
-        ("enumerate_ball", "word ball up to length 4"),
+        # thrice_punctured_test builds the short ball itself
+        ("enumerate_ball", "plane test up to length 4"),
         ("fuchsian_test", "plane test up to length 4"),
     ],
 )
 def test_cusp_pattern_stages_name_their_failure(monkeypatch, kernel, stage):
+    # the kernels thrice_punctured_test calls
     def fail(*args, **kwargs):
         raise NearSingular("forced")
 
-    monkeypatch.setattr(loxo.pipeline, kernel, fail)
+    monkeypatch.setattr(loxo.enumeration, kernel, fail)
     group, _ = load_group_file(fixture("thrice_punctured.json"))
     report = classify_manifold(group, RunConfig(max_word_len=4))
     assert report.verdict.reason == stage + " failed: NearSingular: forced"
@@ -851,6 +867,111 @@ def test_a_verdict_builds_at_most_one_ball(
     )
 
 
+def forbid_plane_walk(monkeypatch):
+    """From here on fuchsian_test raises, in loxo.enumeration and in any
+    module that binds its own copy of the name."""
+    def fail(*args, **kwargs):
+        raise AssertionError("plane walk run")
+
+    for module in (loxo.enumeration, loxo.pipeline):
+        if hasattr(module, "fuchsian_test"):
+            monkeypatch.setattr(module, "fuchsian_test", fail)
+
+
+def test_verdicts_outside_the_cusp_pattern_walk_no_plane(monkeypatch):
+    # a preserved plane is evidence only for the cusp pattern: any other
+    # verdict is its shortest geodesic and one simplicity check
+    cases = [
+        (name, group, length)
+        for name, group in reference_groups() + float_groups()
+        if parabolic_generator_pair(group, TOL_TRACE) is None
+        for length in (4, 5, 6)
+    ]
+    expected = [
+        emit_report(classify_manifold(group, RunConfig(length)))
+        for _, group, length in cases
+    ]
+    forbid_plane_walk(monkeypatch)
+    for (name, group, length), want in zip(cases, expected):
+        got = emit_report(classify_manifold(group, RunConfig(length)))
+        assert got == want, (name, length)
+
+
+@pytest.mark.parametrize(
+    "group, length",
+    [
+        pytest.param(
+            GroupPresentation([MoebiusIsometry(*m) for m in FUNNEL_GROUP]),
+            1,
+            id="funnel-1",
+        ),
+    ] + [
+        pytest.param(
+            GroupPresentation(
+                [MoebiusIsometry(0, -1, 1, 0), MoebiusIsometry(1, 1, 0, 1)]
+            ),
+            length,
+            id="modular-%d" % length,
+        )
+        for length in (1, 2, 3)
+    ],
+)
+def test_real_ball_without_hyperbolic_word_shows_no_geodesic(
+    monkeypatch, group, length
+):
+    # parabolic and elliptic words only: the verdict needs no plane
+    ball = enumerate_ball(group, length)
+    assert "hyperbolic" not in {classify(w.matrix) for w in ball}
+    forbid_plane_walk(monkeypatch)
+    report = classify_manifold(group, RunConfig(length))
+    assert report.verdict.reason == NO_LOXODROMIC
+
+
+@pytest.mark.parametrize("group", cusp_pattern_groups())
+@pytest.mark.parametrize("length", [4, 6])
+def test_cusp_pattern_without_plane_reads_the_full_ball(
+    monkeypatch, ball_lengths, group, length
+):
+    # the short ball is made to show no plane: the group is then decided
+    # like any other, on the ball of its word bound
+    def no_plane(*args, **kwargs):
+        return FuchsianResult("elementary")
+
+    read = []
+
+    def reading(kernel):
+        # shortest takes its ball first, simplicity_check by keyword
+        def wrapped(*args, **kwargs):
+            ball = kwargs["ball"] if "ball" in kwargs else args[0]
+            read.append((kernel.__name__, len(ball)))
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    # the thrice-punctured sphere has no simple closed geodesic that is not
+    # peripheral, so the shortest one crosses itself
+    full = enumerate_ball(group, length)
+    entry = shortest(full, ("hyperbolic",), TOL_TRACE)
+    assert not simplicity_check(group, entry.axis, length, ball=full).is_simple
+    config = RunConfig(length)
+    expected = ManifoldReport(
+        Inconclusive(
+            "shortest hyperbolic word %s self-intersects within the bound"
+            % entry.word.name
+        ),
+        config,
+        jorgensen_warnings(group),
+    )
+    monkeypatch.setattr(loxo.enumeration, "fuchsian_test", no_plane)
+    for name in ("shortest", "simplicity_check"):
+        monkeypatch.setattr(
+            loxo.pipeline, name, reading(getattr(loxo.pipeline, name))
+        )
+    report = classify_manifold(group, config)
+    assert ball_lengths == [2, length]
+    assert read == [("shortest", len(full)), ("simplicity_check", len(full))]
+    assert emit_report(report) == emit_report(expected)
+
+
 def test_ambiguous_trace_is_inconclusive(ambiguous_stream):
     group = GroupPresentation([MoebiusIsometry(*m) for m in FUNNEL_GROUP])
     report = classify_manifold(group, RunConfig(max_word_len=4))
@@ -876,7 +997,7 @@ def test_ambiguous_generator_is_inconclusive():
     [
         ("elementary_test", "elementary test"),
         ("enumerate_ball", "word ball up to length 4"),
-        ("fuchsian_test", "plane test up to length 4"),
+        ("thrice_punctured_test", "plane test up to length 4"),
         ("shortest", "shortest screw search up to length 4"),
         ("simplicity_check", "simplicity check of a b"),
     ],
@@ -1468,23 +1589,23 @@ def write_raw_group(path, generators):
     [
         (FUNNEL_GROUP, "4", "geodesic stream up to length 4"),
         (OVERFLOW_GROUP, "4", "word ball up to length 4"),
-        # the plane's spanning pair has entries near 1e200
-        (OVERFLOW_GROUP, "2", "plane test up to length 2"),
-        (OVERFLOW_GROUP, "3", "plane test up to length 3"),
+        # below length 4 the ball builds, and its shortest hyperbolic
+        # word, a, translates by 460: no plane is fitted to the pair whose
+        # fixed points overflow
+        (OVERFLOW_GROUP, "1", BELOW_CUTOFF),
+        (OVERFLOW_GROUP, "2", BELOW_CUTOFF),
+        (OVERFLOW_GROUP, "3", BELOW_CUTOFF),
         (
             AMBIGUOUS_GENERATOR_GROUP,
             "4",
             "elementary test failed: AmbiguousClass: real trace",
         ),
-        (
-            NAN_PLANE_GROUP,
-            "1",
-            "plane test up to length 1 failed: DegeneratePoints: no three of",
-        ),
+        (NAN_PLANE_GROUP, "1", BELOW_CUTOFF),
     ],
     ids=[
         "ambiguous_trace",
         "overflow",
+        "overflow_1",
         "overflow_plane_2",
         "overflow_plane_3",
         "ambiguous_generator",
