@@ -191,6 +191,6 @@ def max_parabolic_length_at_depth(depth):
     Inverse of cusp_depth: at depth d every parabolic translation of length
     at most 2 asinh(exp(-d) / 2) stays within the unit-length thin part.
     """
-    if depth < 0.0:
+    if not depth >= 0.0:
         raise OutOfRange("depth must be nonnegative, got %r" % (depth,))
     return 2.0 * math.asinh(math.exp(-depth) / 2.0)

@@ -12,8 +12,9 @@ at a time in numpy, with each word's prefix row and last letter; a word
 object is built only when it is read.  The surveys built on the ball (the
 length spectrum and the shortest word of given kinds) read it through one
 candidate scan over one screen pass, whose kind of a row is final: the
-scalar classify runs only on the rows the screen cannot decide, and words
-are built only for what the surveys return.  The preserved-plane test
+screen runs the scalar classify on the rare rows its numpy tests cannot
+decide, and words are built only for what the surveys return.  The
+preserved-plane test
 decides screws from the traces of the generator products, not from the
 ball, and reads the ball only for a hyperbolic pair to span the plane.
 """
@@ -24,13 +25,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import EXIT_OK, BudgetExceeded
+from .errors import EXIT_OK, AmbiguousClass, BudgetExceeded
 from .geometry import (
     axis_of,
     circle_json,
+    common_perpendicular,
     geodesic_separation,
     halfturn_matrix,
     same_line,
+    shares_endpoint,
     transform_line,
 )
 from .halfturn import invariant_plane
@@ -285,8 +288,8 @@ class Ball(Sequence):
     letter; parents come before their children.  ``self[i]`` builds the
     GroupWord of row i on first read, walking ``parents`` up to the nearest
     built ancestor, and caches every word it builds, so a word is the same
-    object on every read.  ``trace_kinds(tol_trace)`` screens the entries
-    once per tolerance.
+    object on every read.  ``trace_kinds(tol_trace)`` decides each row's
+    kind once per tolerance.
     """
 
     __slots__ = (
@@ -302,14 +305,22 @@ class Ball(Sequence):
         self._kinds = {}
 
     def trace_kinds(self, tol_trace):
-        """_trace_kinds of the entries, as a read-only array made on the
-        first call for each tolerance."""
+        """The kind code of each row, as a read-only array made on the first
+        call for each tolerance: _trace_kinds of the entries, with each row
+        it leaves _UNDECIDED given classify's kind, or _AMBIGUOUS where
+        classify raises AmbiguousClass."""
         kinds = self._kinds.get(tol_trace)
         if kinds is None:
-            kinds = self._kinds[tol_trace] = _trace_kinds(
-                self.entries, tol_trace
-            )
+            kinds = _trace_kinds(self.entries, tol_trace)
+            for i in np.flatnonzero(kinds == _UNDECIDED).tolist():
+                try:
+                    kinds[i] = _KINDS.index(
+                        classify(_row_matrix(self.entries, i), tol_trace)
+                    )
+                except AmbiguousClass:
+                    kinds[i] = _AMBIGUOUS
             kinds.flags.writeable = False
+            self._kinds[tol_trace] = kinds
         return kinds
 
     def __len__(self):
@@ -443,9 +454,11 @@ def enumerate_ball(group, max_word_len):
     )
 
 
-# kind codes of _trace_kinds: _KINDS[code] is classify's kind of the code
+# kind codes: _KINDS[code] is classify's kind of the code, and
+# Ball.trace_kinds gives _AMBIGUOUS where classify raises AmbiguousClass
 _KINDS = ("identity", "parabolic", "elliptic", "hyperbolic", "screw")
 _IDENTITY, _PARABOLIC, _ELLIPTIC, _HYPERBOLIC, _SCREW, _UNDECIDED = range(6)
+_AMBIGUOUS = 6
 _EPS = float(np.finfo(float).eps)
 
 
@@ -520,13 +533,6 @@ def _near_kinds(entries, tol_trace):
     first = np.argmax(~(margins < -1e-12), axis=0)
     decided = margins[first, np.arange(len(entries))] > 1e-12
     return np.where(decided, _TEST_KINDS[first], np.int8(_UNDECIDED))
-
-
-def _kind(code, m, tol_trace):
-    """The kind of a ball row of matrix m and _trace_kinds code: the
-    screen's, and classify's only where the screen left the row undecided
-    (so only such a row can raise AmbiguousClass)."""
-    return classify(m, tol_trace) if code == _UNDECIDED else _KINDS[code]
 
 
 def _trace_lengths(t, tol_trace):
@@ -612,19 +618,21 @@ def _scan(ball, kinds, tol_trace, length_bound):
     """(row, kind, ComplexLength, matrix) of the candidate rows of ball (an
     enumerate_ball result) whose kind is in kinds, in ball order.
 
-    kinds names elliptic, hyperbolic or screw.  The candidates are the
-    screen's rows of those kinds and the undecided rows classify could give
-    such a kind.  A row's numpy key cosh(l / 2) lies within a relative
+    kinds names elliptic, hyperbolic or screw.  The candidates are the rows
+    of those kinds in ball.trace_kinds and, when a non-screw kind is asked
+    for, the _AMBIGUOUS rows, as classify raises only where |Im tr| <=
+    tol_trace.  A row's numpy key cosh(l / 2) lies within a relative
     _KEY_SLACK of the cosh of its length, so only the candidates whose key
     allows a length of at most length_bound(least) are read, least the
-    most length the least decided key allows (inf when no candidate is
-    decided).  Each of them is classified only if undecided and gets the
-    complex_length of its trace (see _trace_lengths).
+    most length the least key of a row of those kinds allows (inf when
+    there is none).  Each row read gets the complex_length of its trace
+    (see _trace_lengths); an _AMBIGUOUS row read raises classify's
+    AmbiguousClass.
     """
     entries = ball.entries
     codes = ball.trace_kinds(tol_trace)
-    # (rows, keys) of the candidates: the screen's non-screws have
-    # |Im tr| <= tol_trace, so their keys take the real part
+    # (rows, keys) of the candidates: the non-screws have |Im tr| <=
+    # tol_trace, so their keys take the real part
     candidates = []
     for kind in kinds:
         rows = np.flatnonzero(codes == _KINDS.index(kind))
@@ -635,17 +643,10 @@ def _scan(ball, kinds, tol_trace, length_bound):
     least_key = min(
         (float(x.min()) for _, x in candidates if x.size), default=math.inf
     )
-    rows = np.flatnonzero(codes == _UNDECIDED)
-    if rows.size:
+    if any(kind != "screw" for kind in kinds):
+        rows = np.flatnonzero(codes == _AMBIGUOUS)
         t = entries[rows, 0] + entries[rows, 3]
-        # classify calls a row a screw only where |Im tr| > tol_trace, and
-        # gives it any other kind only where it is not
-        real = ~(np.abs(t.imag) > tol_trace)
-        possible = np.where(
-            real, any(kind != "screw" for kind in kinds), "screw" in kinds
-        )
-        x = _cosh_half_length(np.where(real, t.real, t))
-        candidates.append((rows[possible], x[possible]))
+        candidates.append((rows, _cosh_half_length(t.real)))
     # cosh(l / 2) grows with the length l
     least = 2.0 * math.acosh(max(least_key * (1.0 + _KEY_SLACK), 1.0))
     try:
@@ -664,9 +665,10 @@ def _scan(ball, kinds, tol_trace, length_bound):
         zip(rows.tolist(), codes[rows].tolist(), scanned.tolist())
     ):
         m = _isometry(*row)
-        kind = _kind(code, m, tol_trace)
-        if kind in kinds:
-            found.append((i, kind, length_of(k, m), m))
+        if code == _AMBIGUOUS:
+            # raises AmbiguousClass
+            classify(m, tol_trace)
+        found.append((i, _KINDS[code], length_of(k, m), m))
     return found
 
 
@@ -815,9 +817,9 @@ def fuchsian_test(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     with four distinct endpoints.  A group with real traces and such a pair
     is conjugate into PSL(2, R) (B. Maskit, Kleinian Groups, 1988), so it
     keeps the plane invariant_plane spans with the first such pair in ball
-    order; the ball is read only for that pair, and a row left undecided by
-    the trace screen is classified when the search reaches it.  ball, when
-    given, must be an enumerate_ball result.
+    order; the ball is read only for that pair, and an _AMBIGUOUS row of
+    ball.trace_kinds raises classify's AmbiguousClass when the search
+    reaches it.  ball, when given, must be an enumerate_ball result.
     """
     screw = _character_screw(group, tol_trace)
     if screw is not None:
@@ -829,27 +831,21 @@ def fuchsian_test(group, max_word_len, tol_trace=TOL_TRACE, ball=None):
     axes = {}
 
     def axis(i):
-        # the axis of a hyperbolic row, None for any other row
         if i not in axes:
             m = _row_matrix(entries, i)
-            hyperbolic = _kind(kinds[i], m, tol_trace) == "hyperbolic"
-            axes[i] = axis_of(m, tol_trace) if hyperbolic else None
+            if kinds[i] == _AMBIGUOUS:
+                # raises AmbiguousClass
+                classify(m, tol_trace)
+            axes[i] = axis_of(m, tol_trace)
         return axes[i]
 
     # walked lazily: the search reads a few of these rows, not all
-    rows = np.flatnonzero((kinds == _HYPERBOLIC) | (kinds == _UNDECIDED))
+    rows = np.flatnonzero((kinds == _HYPERBOLIC) | (kinds == _AMBIGUOUS))
     for n in range(len(rows)):
         i = int(rows[n])
         axis_u = axis(i)
-        if axis_u is None:
-            continue
         for j in rows[n + 1:]:
-            axis_v = axis(int(j))
-            if axis_v is None or any(
-                same_point(p, q)
-                for p in axis_u.endpoints()
-                for q in axis_v.endpoints()
-            ):
+            if shares_endpoint(axis_u, axis(int(j))):
                 continue
             plane = invariant_plane(ball[i].matrix, ball[j].matrix, tol_trace)
             return FuchsianResult("all_non_screw_with_plane", plane=plane)
@@ -875,8 +871,8 @@ def elementary_test(group, tol_trace=TOL_TRACE):
     Two distinct translation axes force a free pair somewhere, hence
     "non_elementary".  One axis kept setwise by every generator means
     exactly two limit points.  No axes at all: parabolic generators with a
-    common fixed point, or rotations whose axes pairwise meet, keep at most
-    one limit point; any other mix is reported non-elementary.
+    common fixed point, or rotations whose axes all pass through one point,
+    keep at most one limit point; any other mix is reported non-elementary.
     """
     kinds = []
     for gen in group.generators:
@@ -909,12 +905,23 @@ def elementary_test(group, tol_trace=TOL_TRACE):
             return ElementaryResult("limit_points_0_or_1")
         return ElementaryResult("non_elementary")
     if all(kind == "elliptic" for kind, _ in kinds):
-        axes = [axis_of(gen, tol_trace) for _, gen in kinds]
+        for _, gen in kinds:
+            axis = axis_of(gen, tol_trace)
+            if not any(same_line(axis, seen) for seen in axes):
+                axes.append(axis)
         for i, first in enumerate(axes):
             for second in axes[i + 1:]:
-                if same_line(first, second):
-                    continue
                 if not geodesic_separation(first, second).intersects:
+                    return ElementaryResult("non_elementary")
+        # axes that cross pairwise meet at one point when each one after the
+        # first two meets their common perpendicular at that point
+        if len(axes) > 2:
+            normal = common_perpendicular(axes[0], axes[1])
+            for axis in axes[2:]:
+                if not (
+                    same_line(axis, normal)
+                    or geodesic_separation(axis, normal).intersects
+                ):
                     return ElementaryResult("non_elementary")
         return ElementaryResult("limit_points_0_or_1")
     return ElementaryResult("non_elementary")

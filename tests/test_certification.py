@@ -293,6 +293,7 @@ def test_cusp_depth_domain():
     for bad in (0.0, -0.2, 1.0, 1.5):
         with pytest.raises(OutOfRange):
             cusp_depth(bad)
-    with pytest.raises(OutOfRange):
-        max_parabolic_length_at_depth(-1e-9)
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(OutOfRange):
+            max_parabolic_length_at_depth(bad)
     assert max_parabolic_length_at_depth(0.0) == 2 * math.asinh(0.5)

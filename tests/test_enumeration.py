@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import os
@@ -881,6 +882,46 @@ def test_ball_kernels_keep_the_screen_kinds(monkeypatch, name):
     assert expected[0]
 
 
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + FLOAT_GROUPS)
+def test_ball_trace_kinds_resolve_undecided_rows_for_the_kernels(
+    monkeypatch, group
+):
+    # a screen that decides no row: Ball.trace_kinds gives each row
+    # classify's kind, and the kernels read those kinds without classify
+    def run(ball):
+        out = []
+        for kinds in (("screw",), ("hyperbolic",), ("hyperbolic", "screw")):
+            entry = shortest(ball, kinds, TOL_TRACE)
+            out.append(entry and (entry.word.name, entry.length, entry.angle))
+        fuch = fuchsian_test(group, 5, ball=ball)
+        out.append((
+            fuch.verdict,
+            fuch.witness and fuch.witness.name,
+            fuch.plane and (fuch.plane.a, fuch.plane.b, fuch.plane.c),
+        ))
+        return out
+
+    screened = enumerate_ball(group, 5)
+    expected = run(screened)
+    ball = enumerate_ball(group, 5)
+    monkeypatch.setattr(
+        loxo.enumeration,
+        "_trace_kinds",
+        lambda entries, tol_trace: np.full(
+            len(entries), loxo.enumeration._UNDECIDED, dtype=np.int8
+        ),
+    )
+    kinds = ball.trace_kinds(TOL_TRACE)
+    assert kinds.tolist() == screened.trace_kinds(TOL_TRACE).tolist()
+    assert not kinds.flags.writeable
+
+    def refused(m, tol_trace):
+        raise AssertionError("classify ran on a row of final kind")
+
+    monkeypatch.setattr(loxo.enumeration, "classify", refused)
+    assert run(ball) == expected
+
+
 # ---------------------------------------------------------------------------
 # shortest_screw
 
@@ -1230,6 +1271,39 @@ def test_elementary_rotations_with_separated_axes():
     shifted = rotation(0.4).conjugate_by(MoebiusIsometry(1, 3, 0, 1))
     group = GroupPresentation([rotation(0.4), shifted])
     assert elementary_test(group).verdict == "non_elementary"
+
+
+def rotation_about(p, q, angle):
+    """Rotation by angle about the geodesic from p to q (q None: infinity)."""
+    half = cmath.exp(0.5j * angle)
+    model = MoebiusIsometry(half, 0, 0, 1 / half)
+    if q is None:
+        return model
+    return model.conjugate_by(MoebiusIsometry(q, p, 1, 1))
+
+
+def test_elementary_rotations_with_pairwise_crossing_axes():
+    # the three axes cross pairwise at three different points: the
+    # length-3 ball holds screws
+    angle = 2 * math.pi / 5
+    group = GroupPresentation([
+        rotation_about(-2, 1, angle),
+        rotation_about(-1, 2, angle),
+        rotation_about(0, 3, angle),
+    ])
+    assert elementary_test(group).verdict == "non_elementary"
+    assert any(classify(w.matrix) == "screw" for w in enumerate_ball(group, 3))
+
+
+def test_elementary_rotations_with_concurrent_axes():
+    # the three axes pass through the point at height 1 over the origin
+    angle = 2 * math.pi / 5
+    group = GroupPresentation([
+        rotation_about(-1, 1, angle),
+        rotation_about(-1j, 1j, angle),
+        rotation_about(0, None, angle),
+    ])
+    assert elementary_test(group).verdict == "limit_points_0_or_1"
 
 
 def test_elementary_parabolic_against_axis():

@@ -710,19 +710,20 @@ NO_LOXODROMIC = (
 
 @pytest.fixture
 def ambiguous_stream(monkeypatch):
-    """Once the shortest-candidate kernel starts, the trace screen leaves
-    every ball row undecided and classify in loxo.enumeration raises
-    AmbiguousClass."""
+    """Once the shortest-candidate kernel starts, every ball row's kind is
+    ambiguous and classify in loxo.enumeration raises AmbiguousClass."""
     kernel = loxo.pipeline.shortest
 
-    def undecided(ball, tol_trace):
-        return np.full(len(ball), loxo.enumeration._UNDECIDED, dtype=np.int8)
+    def ambiguous_rows(ball, tol_trace):
+        return np.full(len(ball), loxo.enumeration._AMBIGUOUS, dtype=np.int8)
 
     def ambiguous(m, tol_trace):
         raise AmbiguousClass("real trace %r" % (m.trace,))
 
     def shortest(*args, **kwargs):
-        monkeypatch.setattr(loxo.enumeration.Ball, "trace_kinds", undecided)
+        monkeypatch.setattr(
+            loxo.enumeration.Ball, "trace_kinds", ambiguous_rows
+        )
         monkeypatch.setattr(loxo.enumeration, "classify", ambiguous)
         return kernel(*args, **kwargs)
 
@@ -747,19 +748,33 @@ def figure_eight_nielsen_draw():
 def test_screw_search_skips_rows_classify_cannot_call_screws():
     # the length-8 ball holds a word whose trace, 1.999999999008196 -
     # 4.1e-10 i, lies in the band where classify raises; the screw search
-    # reads no undecided row with |Im tr| <= tol_trace, as none is a screw
+    # reads no ambiguous row, as none is a screw
     group = figure_eight_nielsen_draw()
     ball = enumerate_ball(group, 8)
-    undecided = np.flatnonzero(
-        ball.trace_kinds(TOL_TRACE) == loxo.enumeration._UNDECIDED
+    ambiguous = np.flatnonzero(
+        ball.trace_kinds(TOL_TRACE) == loxo.enumeration._AMBIGUOUS
     )
-    with pytest.raises(AmbiguousClass):
-        for i in undecided.tolist():
+    assert ambiguous.size
+    for i in ambiguous.tolist():
+        with pytest.raises(AmbiguousClass):
             classify(ball[i].matrix)
     for length in (6, 7, 8):
         report = classify_manifold(group, RunConfig(max_word_len=length))
         assert report.verdict.kind == "SimpleGeodesicFound"
-    assert report.to_dict()["geodesic"]["word"] == "a' b' b' b' a b b a"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the word certified at length 8, a' b' b' b' a b b a, is "
+    "parabolic: roundoff puts its trace just off 2 and its length at "
+    "4.8e-5; a per-row roundoff bound of the trace screen (ROADMAP item 1) "
+    "mends it",
+)
+def test_figure_eight_nielsen_draw_certifies_the_systole():
+    group = figure_eight_nielsen_draw()
+    report = classify_manifold(group, RunConfig(max_word_len=8))
+    assert report.verdict.kind == "SimpleGeodesicFound"
+    assert abs(report.verdict.entry.length - 1.08707014499574) <= 1e-9
 
 
 # Gamma(2) groups with the cusp pattern: the fixture, AMBIGUOUS_GROUP (the
