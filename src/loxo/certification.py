@@ -19,7 +19,7 @@ import numpy as np
 from .enumeration import _EPS, _cosh_half_length, conjugate_rows, enumerate_ball
 from .errors import OutOfRange
 from .geometry import INTERSECTION_TOL, halfturn_matrix, halfturn_separation
-from .isometry import TOL_TRACE, MoebiusIsometry
+from .isometry import TOL_TRACE, _signed
 
 
 class SimplicityReport:
@@ -132,7 +132,9 @@ def simplicity_check(group, axis, max_word_len, ball=None):
     roundoff bound of t (the band) are looked at one by one: a row with
     w h w^-1 = +-h is a stabilizer, and every other band row goes to the
     scalar halfturn_separation, whose distance and angle are reported.
-    The band takes TOL_TRACE plus the roundoff bound of t, whatever trace
+    Like any product, w h w^-1 is taken as computed, with the canonical
+    sign only: no determinant of its large entries is taken.  The band
+    takes TOL_TRACE plus the roundoff bound of t, whatever trace
     tolerance classified the group's words.  ball, when given, must be an
     enumerate_ball result; only a witness's word is built.  A half-turn
     about the axis that cannot be normalized raises NearSingular.
@@ -160,7 +162,7 @@ def simplicity_check(group, axis, max_word_len, ball=None):
     rows = np.flatnonzero(band)
     stabilizer, conjugates = _stabilizers(h, entries[rows])
     for i, g in zip(rows[~stabilizer].tolist(), conjugates[~stabilizer].tolist()):
-        sep = halfturn_separation(h, MoebiusIsometry(*g))
+        sep = halfturn_separation(h, _signed(*g))
         if sep.distance < INTERSECTION_TOL:
             return SimplicityReport(
                 "self_intersecting",

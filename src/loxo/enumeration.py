@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .halfturn import invariant_plane
 from .isometry import (
-    _MARGIN,
     TOL_TRACE,
     MoebiusIsometry,
     canonical_rows,
@@ -65,6 +64,11 @@ _DEFAULT_LABELS = "abcdefghijklmnopqrstuvwxyz"
 # projections of integer-entry matrices apart.
 _WEIGHTS = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]) % 1.0
 _WEIGHT_SUM = float(_WEIGHTS.sum())
+
+# Relative margin of a numpy decision against the scalar code it repeats:
+# a quantity tested against a threshold is computed with a hypot, which
+# another libm may round otherwise; within the margin the scalar code runs.
+_MARGIN = 1e-9
 
 
 def _keys(rows):
@@ -392,9 +396,10 @@ def enumerate_ball(group, max_word_len):
     prefixes: a word that merges with an earlier one (or with the identity)
     is dropped and never extended.  The result is a Ball: the entries of
     the words as one array, with each word's prefix row and last letter.
-    A product that MoebiusIsometry cannot normalize, or whose entries
-    overflow to a value that is not finite, raises NearSingular; a ball of
-    more than DEFAULT_CAP words raises BudgetExceeded.
+    Each product is taken as computed, with the canonical sign only, as
+    MoebiusIsometry's product takes it.  A product whose entries overflow
+    to a value that is not finite raises NearSingular; a ball of more than
+    DEFAULT_CAP words raises BudgetExceeded.
     """
     n_letters = 2 * group.rank
     factors = letter_factors(np.array(

@@ -6,9 +6,14 @@ translates along its axis without rotation exactly when the trace is real, so
 the classifier below separates screw motions from the rest by the imaginary
 part of the trace alone.
 
-`product_rows` and `canonical_rows` repeat the product and the constructor
-on numpy arrays of entries, with the same float operations, so a word ball
-built a level at a time holds the matrices bit for bit.
+Only the constructor rescales, and only matrices from outside (group files,
+library callers): a product of unit-determinant matrices has determinant
+one, so products and inverses are taken as computed and keep the canonical
+sign alone.  Dividing by the square root of a computed determinant would put
+its roundoff into the trace of every long word.  `product_rows` and
+`canonical_rows` repeat the product and its sign on numpy arrays of entries,
+with the same float operations, so a word ball built a level at a time holds
+the matrices bit for bit.
 """
 
 import cmath
@@ -64,7 +69,8 @@ class MoebiusIsometry:
 
     Construction rescales by the principal square root of the determinant
     (branch with Re >= 0, ties toward Im >= 0) and then applies the sign rule,
-    so equal group elements always build the same representative.
+    so equal group elements always build the same representative.  Products
+    and inverses skip the rescale and take the sign rule alone.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -100,7 +106,7 @@ class MoebiusIsometry:
         return ((self.a, self.b), (self.c, self.d))
 
     def __mul__(self, other):
-        return MoebiusIsometry(
+        return _signed(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -108,7 +114,7 @@ class MoebiusIsometry:
         )
 
     def inverse(self):
-        return MoebiusIsometry(self.d, -self.b, -self.c, self.a)
+        return _signed(self.d, -self.b, -self.c, self.a)
 
     def conjugate_by(self, g):
         """g * self * g^-1."""
@@ -150,6 +156,15 @@ class MoebiusIsometry:
         return "MoebiusIsometry(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
 
+def _signed(a, b, c, d):
+    """The matrix of complex entries a, b, c, d times its canonical sign,
+    without the constructor's determinant check and rescale."""
+    m = object.__new__(MoebiusIsometry)
+    sgn = _canonical_sign(a, b, c, d)
+    m.a, m.b, m.c, m.d = sgn * a, sgn * b, sgn * c, sgn * d
+    return m
+
+
 def normalize(matrix):
     """Coerce a 2x2 matrix-like object into a MoebiusIsometry."""
     if isinstance(matrix, MoebiusIsometry):
@@ -159,13 +174,6 @@ def normalize(matrix):
 
 # ---------------------------------------------------------------------------
 # The same arithmetic on (n, 4) complex arrays of entries (a, b, c, d)
-
-# Relative margin of a numpy decision against the scalar code it repeats:
-# a quantity tested against a threshold is computed with a hypot, which
-# another libm may round otherwise, or as a square, which rounds otherwise
-# than a hypot; within the margin the scalar code runs.
-_MARGIN = 1e-9
-
 
 # CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
 # times it, whose 0.0 * Im term can change the sign of a zero real part;
@@ -221,7 +229,7 @@ def product_rows(parents, factors):
     adds over (term, letter, coordinate, parent), the long parent axis
     innermost, form each coordinate as CPython's complex product and sum
     form it (numpy's own complex multiply may differ in the last bit), so
-    each entry equals MoebiusIsometry.__mul__'s before normalization.
+    each entry equals MoebiusIsometry.__mul__'s before its sign.
     """
     terms = parents.view(np.float64).T[_PRODUCT_PARENT][:, None] * factors
     terms[0] += terms[1]
@@ -230,101 +238,37 @@ def product_rows(parents, factors):
     return terms[0].transpose(2, 0, 1)
 
 
-def _principal_sqrt(re, im):
-    """cmath.sqrt(complex(re, im)) as CPython forms it, for finite
-    arguments of modulus above DBL_MIN."""
-    ax = np.abs(re) / 8.0
-    s = 2.0 * np.sqrt(ax + np.hypot(ax, np.abs(im) / 8.0))
-    d = np.abs(im) / (2.0 * s)
-    right = re >= 0.0
-    return np.where(right, s, d), np.copysign(np.where(right, d, s), im)
-
-
-def _quotient(re, im, s_re, s_im):
-    """(re + i im) / (s_re + i s_im) as CPython's complex division forms
-    it, for a nonzero divisor."""
-    by_real = np.abs(s_re) >= np.abs(s_im)
-    # the part of larger modulus divides, so no division is by zero
-    ratio = np.where(by_real, s_im, s_re) / np.where(by_real, s_re, s_im)
-    denom = np.where(by_real, s_re + s_im * ratio, s_re * ratio + s_im)
-    return (
-        np.where(by_real, re + im * ratio, re * ratio + im) / denom,
-        np.where(by_real, im - re * ratio, im * ratio - re) / denom,
-    )
-
-
-# Squares of the edges of the band around TOL_DET that canonical_rows
-# leaves to MoebiusIsometry
-_DET_BAND_LOW = (TOL_DET * (1.0 - _MARGIN)) ** 2
-_DET_BAND_HIGH = (TOL_DET * (1.0 + _MARGIN)) ** 2
-# Coordinates (Re a, Im a, ..., Im d) of the determinant's eight products:
-# ar dr, br cr, ar di, br ci, then ai di, bi ci, ai dr, bi cr
-_DET_LEFT = np.array([0, 2, 0, 2, 1, 3, 1, 3])
-_DET_RIGHT = np.array([6, 4, 7, 5, 7, 5, 6, 4])
-
-
 def canonical_rows(raw):
-    """Rows as MoebiusIsometry would store them.
+    """Rows as _signed would store them: each row times its canonical sign.
 
-    raw is a C-contiguous (n, 4) complex array.  numpy repeats the
-    constructor's float operations: the determinant (ar dr - ai di) - (br
-    cr - bi ci) and (ar di + ai dr) - (br ci + bi cr), the rescale by its
-    principal square root where |det - 1| > TOL_DET, and the canonical
-    sign.  A row goes through MoebiusIsometry itself when |det - 1| or
-    |det| lies within _MARGIN of TOL_DET, when it is not finite, or when
-    its trace is within SIGN_TOL of zero.  Its NearSingular propagates, and
-    a row that comes out not finite (an overflowing product) raises one
-    too.  The bands are decided on squared moduli, whose relative error of
-    a few eps lies far inside _MARGIN, so a row decided here gets the
-    constructor's decision.  A caller that may pass rows that overflow
-    silences numpy's floating-point warnings.
+    raw is a C-contiguous (n, 4) complex array, taken as computed: a product
+    of unit-determinant matrices is not rescaled.  numpy repeats the sign
+    rule and the interpreter's float times complex bit for bit; a row whose
+    trace is within SIGN_TOL of zero goes through _signed itself.  A row
+    that is not finite (an overflowing product) raises NearSingular.  A
+    caller that may pass rows that overflow silences numpy's floating-point
+    warnings.
     """
     coords = raw.view(np.float64)
-    # one row per product, so that each pass runs along the rows
-    terms = coords.T[_DET_LEFT] * coords.T[_DET_RIGHT]
-    terms[0:2] -= terms[4:6]
-    terms[2:4] += terms[6:8]
-    # rows det_re, det_im
-    det = terms[0:4:2] - terms[1:4:2]
-    squares = det * det
-    size = squares[0] + squares[1]
-    off = det[0] - 1.0
-    off *= off
-    off += squares[1]
-    # det_re takes a product of each of the eight coordinates, so a row
-    # that is not finite has a determinant of size inf or nan (as has a
-    # row whose |det| squared overflows)
-    scalar = ~(
-        (size > _DET_BAND_HIGH)
-        & (size < np.inf)
-        & ((off > _DET_BAND_HIGH) | (off < _DET_BAND_LOW))
-    )
-    rescale = np.flatnonzero((off > _DET_BAND_HIGH) & ~scalar)
-    rows = raw
-    if rescale.size:
-        rows = raw.copy()
-        moved = coords[rescale]
-        s_re, s_im = _principal_sqrt(det[0, rescale], det[1, rescale])
-        moved[:, 0::2], moved[:, 1::2] = _quotient(
-            moved[:, 0::2], moved[:, 1::2], s_re[:, None], s_im[:, None]
-        )
-        rows.view(np.float64)[rescale] = moved
-    t = rows[:, 0] + rows[:, 3]
+    # one reduction finds an overflow; the rows are looked at only then
+    if not np.isfinite(coords.sum()):
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            raise NearSingular(
+                "entries %r are not finite" % (tuple(raw[bad[0]].tolist()),)
+            )
+    t = raw[:, 0] + raw[:, 3]
     by_real = np.abs(t.real) > SIGN_TOL
-    scalar |= ~(by_real | (np.abs(t.imag) > SIGN_TOL))
+    scalar = ~(by_real | (np.abs(t.imag) > SIGN_TOL))
     s = np.copysign(1.0, np.where(by_real, t.real, t.imag))[:, None]
     if _FLOAT_TIMES_COMPLEX_WIDENS:
         # numpy multiplies each entry by s + 0j, as this interpreter does
-        rows = rows * s
+        rows = raw * s
     else:
-        rows = (rows.view(np.float64) * s).view(complex)
+        rows = (coords * s).view(complex)
     for i in np.flatnonzero(scalar).tolist():
-        m = MoebiusIsometry(*raw[i].tolist())
+        m = _signed(*raw[i].tolist())
         rows[i] = (m.a, m.b, m.c, m.d)
-        if not all(map(cmath.isfinite, rows[i].tolist())):
-            raise NearSingular(
-                "entries %r are not finite" % (tuple(rows[i].tolist()),)
-            )
     return rows
 
 

@@ -362,8 +362,8 @@ def _conjugators():
 
 
 def float_groups():
-    """(name, group) pairs with float entries, on which the numpy rescale
-    of enumerate_ball meets MoebiusIsometry's: the figure_eight,
+    """(name, group) pairs with float entries, on which the numpy products
+    of enumerate_ball meet MoebiusIsometry's: the figure_eight,
     thrice_punctured, funnel and torus groups conjugated by a seeded
     random isometry and by diag(k, 1/k), and a Schottky group."""
     groups = dict(reference_groups())

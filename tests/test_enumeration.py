@@ -357,14 +357,18 @@ def test_ball_entries_equal_word_products_bitwise(group):
 
 
 def test_ball_near_singular_product_raises():
-    # entries near 20^7 make the determinant of a length-7 product cancel
+    # entries near 20^7 make the determinant of a length-7 product, taken
+    # from its entries, cancel to 0; products are taken as computed, so
+    # the ball holds the exact integer products and builds
     group = GroupPresentation(
         [MoebiusIsometry(19, 2, 9, 1), MoebiusIsometry(1, 0, 3, 1)]
     )
-    enumerate_ball(group, 6)
-    with pytest.raises(NearSingular) as info:
-        enumerate_ball(group, 7)
-    assert str(info.value) == "determinant 0j too close to zero"
+    for length in (7, 8):
+        ball = enumerate_ball(group, length)
+        assert (ball.entries == np.round(ball.entries.real)).all()
+        entry = shortest(ball, ("hyperbolic",), TOL_TRACE)
+        assert entry.word.name == "a b' b' b' b'"
+        assert entry.length == pytest.approx(2 * math.acosh(2), rel=1e-12)
 
 
 def test_ball_non_finite_product_raises():

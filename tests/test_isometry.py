@@ -21,7 +21,6 @@ from loxo.errors import (
     UndefinedLength,
 )
 from loxo.isometry import (
-    TOL_DET,
     BoundaryPoint,
     MoebiusIsometry,
     apply_boundary,
@@ -264,57 +263,11 @@ def test_parabolic_conjugates_stay_parabolic():
         assert abs(abs(m.trace.real) - 2.0) <= 1e-9
 
 
-# Rows whose |det - 1| = y (det = 1 + i y, with either sign of the trace)
-# and whose |det| = y, for y = TOL_DET (1 + r)
-def determinant_rows(r):
-    y = TOL_DET * (1.0 + r)
-    return [
-        (1.0 + 1j * y, 0.5j, 0.0, 1.0),
-        (-1.0 - 1j * y, 0.5j, 0.0, -1.0),
-        (y, 0.0, 0.0, 1.0),
-    ]
-
-
-@pytest.mark.parametrize(
-    "r, scalar_rows",
-    [(2e-10, 3), (-2e-10, 2), (2e-9, 0), (-2e-9, 0)],
-)
-def test_canonical_rows_leaves_determinant_bands_to_the_constructor(
-    monkeypatch, r, scalar_rows
-):
-    rows = determinant_rows(r)
-    if r < 0:
-        # |det| below TOL_DET: the constructor raises, and so does the row
-        with pytest.raises(NearSingular) as scalar:
-            MoebiusIsometry(*rows[2])
-        with pytest.raises(NearSingular) as numpy:
-            canonical_rows(np.array(rows[2:], dtype=complex))
-        assert str(numpy.value) == str(scalar.value)
-        rows = rows[:2]
-    expected = [MoebiusIsometry(*row) for row in rows]
-    calls = []
-
-    class Counted(MoebiusIsometry):
-        __slots__ = ()
-
-        def __init__(self, *entries):
-            calls.append(entries)
-            super().__init__(*entries)
-
-    monkeypatch.setattr(loxo.isometry, "MoebiusIsometry", Counted)
-    got = canonical_rows(np.array(rows, dtype=complex))
-    # a row within the band goes through the constructor; one just
-    # outside it is decided in numpy
-    assert len(calls) == scalar_rows
-    for row, m in zip(got, expected):
-        assert bits(row) == bits([m.a, m.b, m.c, m.d])
-
-
 def test_canonical_rows_flip_signed_zeros_as_the_constructor():
-    # a negative trace (of unit-determinant rows, then of rescaled rows
-    # with a trace of zero real part) flips the sign; the zero parts of the
-    # entries keep or lose their signs as the interpreter's float times
-    # complex does
+    # a negative trace (of unit-determinant rows, then of rows of another
+    # determinant with a trace of zero real part) flips the sign; the zero
+    # parts of the entries keep or lose their signs as the interpreter's
+    # float times complex does, in the scalar product's sign-only path
     zeros = (0.0, -0.0)
     rows = [
         (complex(-1.0, y), complex(x, -1.0), complex(x, y), complex(-1.0, x))
@@ -327,5 +280,34 @@ def test_canonical_rows_flip_signed_zeros_as_the_constructor():
     ]
     got = canonical_rows(np.array(rows, dtype=complex))
     for row, raw in zip(got, rows):
+        m = loxo.isometry._signed(*raw)
+        assert bits(row) == bits([m.a, m.b, m.c, m.d])
+    # the unit-determinant rows are the constructor's too
+    for row, raw in zip(got[:4], rows[:4]):
         m = MoebiusIsometry(*raw)
         assert bits(row) == bits([m.a, m.b, m.c, m.d])
+
+
+def test_products_keep_the_computed_determinant():
+    # a product is taken as computed: canonical_rows, the scalar product
+    # and the inverse flip the sign of a row of determinant 4 and do not
+    # rescale it
+    raw = (-2.0, 0.0, 0.0, -2.0)
+    assert canonical_rows(np.array([raw], dtype=complex)).tolist() == [
+        [2, 0, 0, 2]
+    ]
+    m = loxo.isometry._signed(*map(complex, raw))
+    for p in (m * MoebiusIsometry.identity(), m.inverse()):
+        assert (p.a, p.b, p.c, p.d) == (2, 0, 0, 2)
+
+
+def test_canonical_rows_raise_only_on_rows_that_are_not_finite():
+    # the entries' sum overflows, but every row is finite
+    big = np.array([(1.0, 1e308, 1e308, 1.0)] * 2, dtype=complex)
+    with np.errstate(over="ignore"):
+        assert (canonical_rows(big) == big).all()
+    rows = np.array(
+        [(1.0, 0.0, 0.0, 1.0), (complex(math.inf, 0.0), 0.0, 0.0, 1.0)]
+    )
+    with pytest.raises(NearSingular, match="not finite"):
+        canonical_rows(rows)

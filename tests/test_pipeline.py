@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import random
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from loxo.enumeration import (
     jorgensen_warnings,
     parabolic_generator_pair,
     shortest,
+    shortest_screw,
     spectrum,
     thrice_punctured_test,
 )
@@ -532,18 +534,7 @@ BASE_WORDS = {"funnel": "a b'", "torus": "a"}
             "funnel conjugate", "funnel diagonal",
             "torus conjugate", "torus diagonal",
         )
-        for length in range(2, 6)
-    ] + [
-        pytest.param(
-            "torus conjugate", 6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="b a' b a a b' is shorter than a by more than the "
-                "1e-12 tie in floating point; a tie window from a per-row "
-                "roundoff bound of the trace screen (ROADMAP item 1) "
-                "mends it",
-            ),
-        ),
+        for length in range(2, 9)
     ],
 )
 def test_conjugates_certify_the_base_word(name, length):
@@ -557,6 +548,24 @@ def test_conjugates_certify_the_base_word(name, length):
     assert expected.word.name == BASE_WORDS[name.split()[0]]
     assert entry.word.name == expected.word.name
     assert abs(entry.length - expected.length) <= 1e-12
+
+
+# systoles of the funnel and torus groups
+SYSTOLES = {"funnel": 2.633915793849633, "torus": 1.9248473002384139}
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("name", sorted(SYSTOLES))
+def test_conjugates_certify_the_systole_at_depth(name, c):
+    # long words of a conjugate keep traces within roundoff of the exact
+    # ones, so no parabolic word is certified and classify never raises
+    g = random_isometry(random.Random(5 + c))
+    base = dict(reference_groups())[name]
+    group = GroupPresentation([x.conjugate_by(g) for x in base.generators])
+    for length in (8, 9, 10):
+        verdict = classify_manifold(group, RunConfig(max_word_len=length)).verdict
+        assert verdict.kind == "SimpleGeodesicFound"
+        assert abs(verdict.entry.length - SYSTOLES[name]) <= 1e-9
 
 
 # Gamma(2) on the bases <a, b a> and <a, b a^3> of the thrice_punctured
@@ -652,24 +661,27 @@ def test_a_verdict_checks_at_most_one_geodesic(monkeypatch, group, length):
     assert len(calls) <= 1
 
 
-# entries near 20^7 make the determinant of a length-7 product cancel to 0
+# entries near 20^7 make the determinant of a length-7 product, taken from
+# its entries, cancel to 0; the product itself is exact
 NEAR_SINGULAR_GROUP = (((19, 2), (9, 1)), ((1, 0), (3, 1)))
 
 
 def test_singular_ball_product_is_inconclusive():
+    # products are taken as computed, so the group's funnel boundary is
+    # certified at lengths whose determinants cancel
     group = GroupPresentation(
         [MoebiusIsometry(a, b, c, d) for (a, b), (c, d) in NEAR_SINGULAR_GROUP]
     )
     for length in (7, 8):
-        verdict = classify_manifold(group, RunConfig(max_word_len=length)).verdict
-        assert verdict.kind == "Inconclusive"
-        assert "up to length %d" % length in verdict.reason
-        assert "NearSingular" in verdict.reason
+        report = classify_manifold(group, RunConfig(max_word_len=length))
+        assert report.exit_code == EXIT_OK
+        assert report.verdict.kind == "SimpleGeodesicFound"
+        assert report.verdict.entry.word.name == "a b' b' b' b'"
 
 
-# a thrice_punctured conjugate whose length-9 ball holds a word with real
-# trace between the elliptic and parabolic bands, where classify raises
-# AmbiguousClass; its generator products have real traces
+# a thrice_punctured conjugate whose generator products have real traces:
+# a screw, or a trace where classify raises AmbiguousClass, in its ball is
+# an artefact of roundoff
 AMBIGUOUS_GROUP = (
     (
         (1.989319748322289 - 5.5290098822471805j),
@@ -730,6 +742,16 @@ def ambiguous_stream(monkeypatch):
     monkeypatch.setattr(loxo.pipeline, "shortest", shortest)
 
 
+def test_gamma_2_conjugate_has_no_screw():
+    # every generator-product trace of the group is real, so no ball word
+    # is a screw, and no row's trace falls where classify raises
+    group = GroupPresentation([MoebiusIsometry(*m) for m in AMBIGUOUS_GROUP])
+    ball = enumerate_ball(group, 9)
+    kinds = ball.trace_kinds(TOL_TRACE)
+    assert not (kinds == loxo.enumeration._AMBIGUOUS).any()
+    assert shortest_screw(group, 9, ball=ball) is None
+
+
 def test_ambiguous_group_gives_thrice_punctured_evidence():
     group = GroupPresentation([MoebiusIsometry(*m) for m in AMBIGUOUS_GROUP])
     report = classify_manifold(group, RunConfig(max_word_len=9))
@@ -746,30 +768,28 @@ def figure_eight_nielsen_draw():
 
 
 def test_screw_search_skips_rows_classify_cannot_call_screws():
-    # the length-8 ball holds a word whose trace, 1.999999999008196 -
-    # 4.1e-10 i, lies in the band where classify raises; the screw search
+    # the generator a has a trace in the band where classify raises, and
+    # so have 190 rows of its length-8 ball, a first; the screw search
     # reads no ambiguous row, as none is a screw
-    group = figure_eight_nielsen_draw()
+    group = GroupPresentation(
+        [MoebiusIsometry(*m) for m in AMBIGUOUS_GENERATOR_GROUP]
+    )
     ball = enumerate_ball(group, 8)
     ambiguous = np.flatnonzero(
         ball.trace_kinds(TOL_TRACE) == loxo.enumeration._AMBIGUOUS
     )
-    assert ambiguous.size
+    assert ambiguous.size == 190
+    assert ball[int(ambiguous[0])].name == "a"
     for i in ambiguous.tolist():
         with pytest.raises(AmbiguousClass):
             classify(ball[i].matrix)
+    assert shortest_screw(group, 8, ball=ball).kind == "screw"
+    group = figure_eight_nielsen_draw()
     for length in (6, 7, 8):
         report = classify_manifold(group, RunConfig(max_word_len=length))
         assert report.verdict.kind == "SimpleGeodesicFound"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the word certified at length 8, a' b' b' b' a b b a, is "
-    "parabolic: roundoff puts its trace just off 2 and its length at "
-    "4.8e-5; a per-row roundoff bound of the trace screen (ROADMAP item 1) "
-    "mends it",
-)
 def test_figure_eight_nielsen_draw_certifies_the_systole():
     group = figure_eight_nielsen_draw()
     report = classify_manifold(group, RunConfig(max_word_len=8))
@@ -1565,17 +1585,20 @@ def test_cli_singular_ball_product_exits_inconclusive(tmp_path, capsys):
         ),
         encoding="utf-8",
     )
-    code, out, _ = run_cli(
-        capsys,
-        "classify-manifold",
-        str(path),
-        "--max-word-len",
-        "8",
-        "--format",
-        "json",
-    )
-    assert code == EXIT_INCONCLUSIVE
-    assert "NearSingular" in json.loads(out)["reason"]
+    for length in ("7", "8"):
+        code, out, _ = run_cli(
+            capsys,
+            "classify-manifold",
+            str(path),
+            "--max-word-len",
+            length,
+            "--format",
+            "json",
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["verdict"] == "SimpleGeodesicFound"
+        assert report["geodesic"]["word"] == "a b' b' b' b'"
 
 
 def write_raw_group(path, generators):
