@@ -127,7 +127,8 @@ class MatrixStore:
     """Index of PSL(2, C) matrices under MERGE_TOL, either sign.
 
     ``rows`` holds the stored rows in the order they were added; only their
-    keys |projection| and row numbers are kept sorted.  A lookup confirms
+    keys |projection| and row numbers are kept sorted, and add_rows keeps
+    them so with one sort of the stored and added keys.  A lookup confirms
     with psl_distance only the rows whose keys lie in the _window of the
     probe's largest coordinate (find) or of the added batch's (add_rows),
     so no row within MERGE_TOL falls outside it, however large the other
@@ -159,52 +160,54 @@ class MatrixStore:
         """Add each row of an (n, 4) complex array unless it merges.
 
         Rows are taken in order: a row within MERGE_TOL of a stored row or
-        of an earlier added row of the array is skipped.  Only a row with
-        another key in its window, stored or in the array, is tested: one
-        numpy psl_distance over all its (row, partner) pairs, the scalar
-        psl_distance for a pair within _MARGIN of MERGE_TOL.  Returns the
+        of an earlier added row of the array is skipped.  The stored keys
+        and the array's are sorted together once.  Only a row with a
+        neighbour in that order within its window is tested, against the
+        stored and earlier rows whose keys lie in the window: one numpy
+        psl_distance over all its (row, partner) pairs, the scalar
+        psl_distance for a pair within _MARGIN of MERGE_TOL.  The merged
+        order, less the rows that merge, is the new index.  Returns the
         indices of the rows added.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
         slack = _window(rows)
-        keys = _keys(rows)
+        n_stored = len(self._keys)
+        keys = np.concatenate((self._keys, _keys(rows)))
+        # merged key q is stored key order[q], or the key of row order[q] -
+        # n_stored of the array; keys that tie lie in each other's window,
+        # so the sort need not be stable
         order = np.argsort(keys)
         keys = keys[order]
-        # a stored key lies in [key - slack, key + slack) exactly when the
-        # first one at or above key - slack does (inf stands for none)
-        lo = self._keys.searchsorted(keys - slack)
-        crowded = np.append(self._keys, np.inf)[lo] < keys + slack
         close = ~(np.diff(keys) > slack)
+        crowded = np.zeros(len(keys), dtype=bool)
         crowded[:-1] |= close
         crowded[1:] |= close
         added = np.ones(len(rows), dtype=bool)
-        at = np.flatnonzero(crowded)
+        at = np.flatnonzero(crowded & (order >= n_stored))
         if at.size:
-            lo = lo[at]
-            hi = self._keys.searchsorted(keys[at] + slack)
-            own_lo = keys.searchsorted(keys[at] - slack)
-            own_hi = keys.searchsorted(keys[at] + slack)
+            k = keys[at]
+            lo, hi = keys.searchsorted(k - slack), keys.searchsorted(k + slack)
+            row = np.repeat(order[at] - n_stored, hi - lo)
+            partner = order[_ranges(lo, hi)]
+            stored = partner < n_stored
             # (row, stored row) pairs, then (row, earlier row of the array)
-            row_s = order[np.repeat(at, hi - lo)]
-            stored = self._numbers[_ranges(lo, hi)]
-            row_o = order[np.repeat(at, own_hi - own_lo)]
-            own = order[_ranges(own_lo, own_hi)]
-            earlier = own < row_o
-            row_o, own = row_o[earlier], own[earlier]
-            added[row_s[_matches(rows, row_s, self.rows, stored)]] = False
+            row_s = row[stored]
+            added[row_s[_matches(
+                rows, row_s, self.rows, self._numbers[partner[stored]]
+            )]] = False
+            partner -= n_stored
+            earlier = ~stored & (partner < row)
+            row_o, own = row[earlier], partner[earlier]
             match = _matches(rows, row_o, rows, own)
             for i, j in sorted(zip(row_o[match].tolist(), own[match].tolist())):
                 if added[j]:
                     added[i] = False
-        # a stable sort of two sorted runs merges them
-        new = added[order]
-        keys = np.concatenate((self._keys, keys[new]))
-        numbers = np.concatenate((
-            self._numbers, (len(self.rows) - 1 + np.cumsum(added))[order[new]]
-        ))
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._numbers = numbers[order]
+        new = np.concatenate((np.ones(n_stored, dtype=bool), added))[order]
+        numbers = np.concatenate(
+            (self._numbers, len(self.rows) - 1 + np.cumsum(added))
+        )
+        self._keys = keys[new]
+        self._numbers = numbers[order[new]]
         # the level's temporaries go before the store's rows grow
         del order, keys, new, numbers
         kept = np.flatnonzero(added)

@@ -183,41 +183,28 @@ _FLOAT_TIMES_COMPLEX_WIDENS = (
 )
 
 
-def _product_terms():
-    """Gather tables of a product's eight coordinates (Re a, Im a, ...,
-    Im d) as four terms each.
-
-    Coordinate o of p * l is the sum over t of p[parent[t, o]] times
-    l[letter[t, o]] * sign[t, o], summed as (t0 + t1) + (t2 + t3): the
-    real part of an entry p_r0 l_0s + p_r1 l_1s is (x u - y v) + (x' u' -
-    y' v') in CPython's complex product and sum, and x u - y v = x u + y
-    (-v) exactly.
-    """
-    parent = np.empty((4, 8), dtype=np.intp)
-    letter = np.empty((4, 8), dtype=np.intp)
-    sign = np.ones((4, 8))
-    for r in (0, 1):
-        for s in (0, 1):
-            o = 2 * (2 * r + s)
-            # coordinates of the entries (r, 0), (r, 1) of p and (0, s),
-            # (1, s) of l
-            p0, p1, l0, l1 = 4 * r, 4 * r + 2, 2 * s, 2 * s + 4
-            parent[:, o] = parent[:, o + 1] = (p0, p0 + 1, p1, p1 + 1)
-            letter[:, o] = (l0, l0 + 1, l1, l1 + 1)
-            letter[:, o + 1] = (l0 + 1, l0, l1 + 1, l1)
-            sign[:, o] = (1.0, -1.0, 1.0, -1.0)
-    return parent, letter, sign
-
-
-_PRODUCT_PARENT, _PRODUCT_LETTER, _PRODUCT_SIGN = _product_terms()
+# Coordinate 4 r + o of p * l (Re a, Im a, ..., Im d), for o = 2 s + c the
+# real (c = 0) or imaginary part of entry (r, s), is the sum over terms t
+# of p[4 r + t] times l[_PRODUCT_LETTER[t, o]] * _PRODUCT_SIGN[t, o],
+# summed as (t0 + t1) + (t2 + t3): the real part of an entry p_r0 l_0s +
+# p_r1 l_1s is (x u - y v) + (x' u' - y' v') in CPython's complex product
+# and sum, and x u - y v = x u + y (-v) exactly.
+_PRODUCT_LETTER = np.array(
+    [[0, 1, 2, 3], [1, 0, 3, 2], [4, 5, 6, 7], [5, 4, 7, 6]]
+)
+_PRODUCT_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]] * 2)
 
 
 def letter_factors(letters):
     """The factors of product_rows for an (n, 4) complex array of letter
-    rows: l[letter[t, o]] * sign[t, o], as a (4, n, 8, 1) array."""
+    rows: l[_PRODUCT_LETTER[t, o]] * _PRODUCT_SIGN[t, o], as a (4, n, 1, 4,
+    1) array over (term, letter, row r, o, parent): a factor does not
+    depend on the row r of the product."""
     coords = np.ascontiguousarray(letters, dtype=complex).view(np.float64)
     factors = coords[:, _PRODUCT_LETTER] * _PRODUCT_SIGN
-    return np.ascontiguousarray(factors.transpose(1, 0, 2)[..., None])
+    return np.ascontiguousarray(
+        factors.transpose(1, 0, 2)[:, :, None, :, None]
+    )
 
 
 def product_rows(parents, factors):
@@ -225,17 +212,25 @@ def product_rows(parents, factors):
     (n_parents, n_letters, 8) float view.
 
     parents is a C-contiguous (n, 4) complex array and factors the
-    letter_factors of the letter rows.  One gather, one multiply and three
-    adds over (term, letter, coordinate, parent), the long parent axis
-    innermost, form each coordinate as CPython's complex product and sum
-    form it (numpy's own complex multiply may differ in the last bit), so
-    each entry equals MoebiusIsometry.__mul__'s before its sign.
+    letter_factors of the letter rows.  Term t of row r reads parent
+    coordinate 4 r + t of one transposed copy of the parents; the four
+    products over (letter, r, o, parent), the long parent axis innermost,
+    are summed in place in two buffers as CPython's complex product and
+    sum form each coordinate (numpy's own complex multiply may differ in
+    the last bit), so each entry equals MoebiusIsometry.__mul__'s before
+    its sign.
     """
-    terms = parents.view(np.float64).T[_PRODUCT_PARENT][:, None] * factors
-    terms[0] += terms[1]
-    terms[2] += terms[3]
-    terms[0] += terms[2]
-    return terms[0].transpose(2, 0, 1)
+    p = np.ascontiguousarray(parents.view(np.float64).T).reshape(
+        2, 4, 1, len(parents)
+    )
+    acc = p[:, 0] * factors[0]
+    high = p[:, 1] * factors[1]
+    acc += high
+    # t2 + t3 in the spent buffer, then added as one: (t0 + t1) + (t2 + t3)
+    np.multiply(p[:, 2], factors[2], out=high)
+    high += p[:, 3] * factors[3]
+    acc += high
+    return acc.reshape(len(acc), 8, len(parents)).transpose(2, 0, 1)
 
 
 def canonical_rows(raw):

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,49 @@ def test_store_keeps_what_an_all_pairs_scan_keeps(monkeypatch):
     assert scalar_calls[0] > 0
 
 
+def test_store_index_stays_sorted_and_whole():
+    # a key is the one its row got in its own batch: the BLAS projection of
+    # one row may differ in the last bit from batch to batch
+    for seed in range(4):
+        rows = planted_rows(np.random.default_rng(seed))
+        store = MatrixStore()
+        row_keys = np.empty(0)
+        for start, stop in ((0, 50), (50, 51), (51, 120), (120, len(rows))):
+            kept = store.add_rows(rows[start:stop])
+            row_keys = np.concatenate(
+                (row_keys, loxo.enumeration._keys(rows[start:stop])[kept])
+            )
+            keys = store._keys
+            assert not (np.diff(keys) < 0).any()
+            assert sorted(store._numbers.tolist()) == list(range(len(store.rows)))
+            assert bits(keys) == bits(row_keys[store._numbers])
+            for row in store.rows:
+                m = bare_isometry(row)
+                found = store.find(m)
+                assert found is not None
+                assert m.psl_distance(bare_isometry(store.rows[found])) <= (
+                    MERGE_TOL
+                )
+
+
+def test_store_adds_an_empty_batch_and_one_copy_of_a_signed_row():
+    store = MatrixStore()
+    store.add_rows(planted_rows(np.random.default_rng(0))[:40])
+
+    def state():
+        return bits(store.rows), bits(store._keys), store._numbers.tolist()
+
+    before = state()
+    assert store.add_rows(np.empty((0, 4), dtype=complex)).tolist() == []
+    assert state() == before
+    n = len(store.rows)
+    row = matrix_rows(MoebiusIsometry(1j, 2 + 1j, 1, -1j + 0.5))
+    assert store.add_rows(np.concatenate((row, -row, row, -row))).tolist() == [0]
+    assert len(store.rows) == n + 1
+    assert store.add_rows(np.concatenate((-row, row))).tolist() == []
+    assert store.find(bare_isometry(-row[0])) == n
+
+
 # ---------------------------------------------------------------------------
 # enumerate_ball
 
@@ -386,6 +430,25 @@ def test_ball_budget(monkeypatch):
     group = presentation(THRICE_PUNCTURED)
     with pytest.raises(BudgetExceeded, match="exceeds 10 elements"):
         enumerate_ball(group, 3)
+
+
+@pytest.mark.parametrize("name", ["torus", "figure_eight"])
+def test_ball_temporaries_peak_below_two_and_a_half_balls(name):
+    # a level's products, candidates and merge index are freed before the
+    # next level: the traced peak, numpy's buffers included, stays within
+    # 2.5 times what the finished ball holds
+    group = dict(reference_groups())[name]
+    enumerate_ball(group, 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        # the ball is held while its size is read
+        ball = enumerate_ball(group, 8)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del ball
+    assert peak - base <= 2.5 * (size - base)
 
 
 @pytest.fixture

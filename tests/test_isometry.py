@@ -30,7 +30,9 @@ from loxo.isometry import (
     complex_length,
     fixed_points,
     is_non_screw,
+    letter_factors,
     normalize,
+    product_rows,
     same_point,
 )
 
@@ -311,3 +313,47 @@ def test_canonical_rows_raise_only_on_rows_that_are_not_finite():
     )
     with pytest.raises(NearSingular, match="not finite"):
         canonical_rows(rows)
+
+
+def scalar_products(parents, letters):
+    """p * l for each parent row p and letter row l, as CPython's complex
+    product and sum form MoebiusIsometry.__mul__'s entries before the
+    sign."""
+    return [
+        (
+            p[0] * l[0] + p[1] * l[2],
+            p[0] * l[1] + p[1] * l[3],
+            p[2] * l[0] + p[3] * l[2],
+            p[2] * l[1] + p[3] * l[3],
+        )
+        for p in parents
+        for l in letters
+    ]
+
+
+@pytest.mark.parametrize("n_letters", [2, 6])
+@pytest.mark.parametrize("n_parents", [1, 3000])
+def test_product_rows_equal_the_scalar_product_bitwise(n_parents, n_letters):
+    # coordinates drawn from signed zeros, the least subnormal and
+    # magnitudes 1e150 and 1e-150 next to ordinary ones, so a term read
+    # from the wrong coordinate, a lost sign of zero or another order of
+    # the four terms shows in the bits; no sum overflows
+    rng = np.random.default_rng(n_parents * 10 + n_letters)
+    pool = np.array([0.0, 5e-324, 1e-150, 1e150, 0.75, 1.0, 3.0])
+
+    def rows(n):
+        coords = pool[rng.integers(0, len(pool), (n, 8))]
+        coords *= rng.choice((-1.0, 1.0), (n, 8))
+        coords *= rng.uniform(0.5, 2.0, (n, 8))
+        return coords.view(complex)
+
+    parents, letters = rows(n_parents), rows(n_letters)
+    # a letter of signed zeros and one of least subnormals, in every
+    # coordinate
+    letters[0] = np.array([0.0, -0.0] * 4).view(complex)
+    letters[1] = np.array([-5e-324, 5e-324] * 4).view(complex)
+    got = product_rows(parents, letter_factors(letters))
+    assert got.shape == (n_parents, n_letters, 8)
+    assert bits(np.ascontiguousarray(got).view(complex).reshape(-1, 4)) == (
+        bits(scalar_products(parents.tolist(), letters.tolist()))
+    )
