@@ -7,25 +7,26 @@ merge store sorts matrices by a real projection of their entries and
 confirms only the matrices whose projections lie within the merge
 tolerance's reach, so equal elements are never split by rounding.
 
-The ball keeps its words' entries as one (N, 4) complex array, built a level
-at a time in numpy, with each word's prefix row and last letter; a word
-object is built only when it is read.  The surveys built on the ball (the
-length spectrum and the shortest word of given kinds) read it through one
-candidate scan over one screen pass, whose kind of a row is final: the
-screen runs the scalar classify on the rare rows its numpy tests cannot
-decide, and words are built only for what the surveys return.  The
-preserved-plane test
-decides screws from the traces of the generator products, not from the
-ball, and reads the ball only for a hyperbolic pair to span the plane.
+The ball keeps its words' products, as computed and with no sign, as one
+(N, 4) complex array, built a level at a time in numpy, with each word's
+prefix row and last letter; a word object is built, signed, only when it is
+read.  The surveys built on the ball (the length spectrum and the shortest
+word of given kinds) read it through one candidate scan over one screen
+pass, whose kind of a row is final: the screen runs the scalar classify on
+the rare rows its numpy tests cannot decide, and words are built only for
+what the surveys return.  The preserved-plane test decides screws from the
+traces of the generator products, not from the ball, and reads the ball
+only for a hyperbolic pair to span the plane.
 """
 
 import itertools
 import math
+import struct
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import EXIT_OK, AmbiguousClass, BudgetExceeded
+from .errors import EXIT_OK, AmbiguousClass, BudgetExceeded, NearSingular
 from .geometry import (
     axis_of,
     circle_json,
@@ -39,8 +40,7 @@ from .geometry import (
 from .halfturn import invariant_plane
 from .isometry import (
     TOL_TRACE,
-    MoebiusIsometry,
-    canonical_rows,
+    _signed,
     classify,
     complex_length,
     fixed_points,
@@ -167,10 +167,17 @@ class MatrixStore:
         psl_distance over all its (row, partner) pairs, the scalar
         psl_distance for a pair within _MARGIN of MERGE_TOL.  The merged
         order, less the rows that merge, is the new index.  Returns the
-        indices of the rows added.
+        indices of the rows added.  A row that is not finite raises
+        NearSingular, and nothing is added.
         """
         rows = np.ascontiguousarray(rows, dtype=complex)
         slack = _window(rows)
+        if not slack < math.inf:
+            # the largest |coordinate| is not finite: name the first such row
+            bad = np.isfinite(rows.view(np.float64)).all(axis=1).argmin()
+            raise NearSingular(
+                "entries %r are not finite" % (tuple(rows[bad].tolist()),)
+            )
         n_stored = len(self._keys)
         keys = np.concatenate((self._keys, _keys(rows)))
         # merged key q is stored key order[q], or the key of row order[q] -
@@ -258,10 +265,26 @@ class GroupPresentation:
         return " ".join(self.letter_label(l) for l in letters)
 
     def word(self, letters):
-        m = MoebiusIsometry.identity()
-        for letter in letters:
-            m = m * self.letter_matrix(letter)
+        """The word's ball row, signed: the identity times the letters as
+        computed, then _signed."""
+        m = _signed(*_product([_IDENTITY_ROW] + [
+            (x.a, x.b, x.c, x.d) for x in map(self.letter_matrix, letters)
+        ]))
         return GroupWord(tuple(letters), self.word_name(letters), m)
+
+
+# the identity's entries, from which a ball's rows and GroupPresentation.word
+# take their products
+_IDENTITY_ROW = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _product(rows):
+    """Entries of the product of (a, b, c, d) tuples, as computed, with no
+    sign: MoebiusIsometry's product before _signed."""
+    a, b, c, d = rows[0]
+    for e, f, g, h in rows[1:]:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
 
 
 class GroupWord:
@@ -289,8 +312,9 @@ class GroupWord:
 class Ball(Sequence):
     """Words of a ball in shortlex order, stored as arrays.
 
-    ``entries`` is an (N, 4) complex array whose row i holds the (a, b, c,
-    d) of ``self[i].matrix`` bit for bit.  ``parents[i]`` is the row of
+    ``entries`` is an (N, 4) complex array whose row i holds word i's (a,
+    b, c, d) as computed, with no sign; ``self[i].matrix``, like every
+    scalar read of a row, is the row _signed.  ``parents[i]`` is the row of
     word i's prefix (-1 for a single letter) and ``letters[i]`` its last
     letter; parents come before their children.  ``self[i]`` builds the
     GroupWord of row i on first read, walking ``parents`` up to the nearest
@@ -355,41 +379,40 @@ class Ball(Sequence):
     def __iter__(self):
         words = self._words
         if None in words:
-            # one forward pass: each parent is built before its children
-            for i, (parent, letter, row) in enumerate(zip(
-                self.parents.tolist(),
-                self.letters.tolist(),
-                self.entries.tolist(),
-            )):
-                if words[i] is None:
-                    words[i] = self._child(
-                        words[parent] if parent >= 0 else None, letter, row
-                    )
+            # one forward pass: each parent is built before its children;
+            # rows become Python objects a chunk at a time, so that the
+            # signed copies the words hold do not double the peak
+            for start in range(0, len(words), _CHUNK):
+                stop = start + _CHUNK
+                for i, parent, letter, row in zip(
+                    range(start, stop),
+                    self.parents[start:stop].tolist(),
+                    self.letters[start:stop].tolist(),
+                    self.entries[start:stop].tolist(),
+                ):
+                    if words[i] is None:
+                        words[i] = self._child(
+                            words[parent] if parent >= 0 else None, letter, row
+                        )
         return iter(words)
 
     def _child(self, parent, letter, row):
         label = self._labels[letter]
         if parent is None:
-            return GroupWord((letter,), label, _isometry(*row))
+            return GroupWord((letter,), label, _signed(*row))
         return GroupWord(
-            parent.letters + (letter,), parent.name + " " + label, _isometry(*row)
+            parent.letters + (letter,), parent.name + " " + label, _signed(*row)
         )
 
 
-def _isometry(a, b, c, d):
-    # entries already of unit determinant and canonical sign
-    m = object.__new__(MoebiusIsometry)
-    m.a, m.b, m.c, m.d = a, b, c, d
-    return m
-
-
 def _row_matrix(entries, i):
-    """The matrix of row i of an (n, 4) entry array, bit for bit."""
-    return _isometry(*entries[i].tolist())
+    """The signed matrix of row i of an (n, 4) entry array."""
+    return _signed(*entries[i].tolist())
 
 
-# parents per numpy pass, so that a level's temporaries stay bounded
-_LEVEL_CHUNK = 1024
+# rows per numpy pass (parents of a level, or rows Ball.__iter__ converts),
+# so that a pass's temporaries stay bounded
+_CHUNK = 1024
 
 
 def enumerate_ball(group, max_word_len):
@@ -399,10 +422,10 @@ def enumerate_ball(group, max_word_len):
     prefixes: a word that merges with an earlier one (or with the identity)
     is dropped and never extended.  The result is a Ball: the entries of
     the words as one array, with each word's prefix row and last letter.
-    Each product is taken as computed, with the canonical sign only, as
-    MoebiusIsometry's product takes it.  A product whose entries overflow
-    to a value that is not finite raises NearSingular; a ball of more than
-    DEFAULT_CAP words raises BudgetExceeded.
+    Each row is product_rows' product of its parent row and letter, with no
+    sign (see Ball).  A product whose entries overflow to a value that is
+    not finite raises NearSingular (in MatrixStore.add_rows); a ball of
+    more than DEFAULT_CAP words raises BudgetExceeded.
     """
     n_letters = 2 * group.rank
     factors = letter_factors(np.array(
@@ -412,11 +435,8 @@ def enumerate_ball(group, max_word_len):
         ],
         dtype=complex,
     ).reshape(-1, 4))
-    identity = MoebiusIsometry.identity()
     # the store's row 0 is the identity; ball row i is store row i + 1
-    seen = MatrixStore(
-        np.array([(identity.a, identity.b, identity.c, identity.d)])
-    )
+    seen = MatrixStore(np.array([_IDENTITY_ROW]))
     frontier_rows = seen.rows
     frontier_last = np.array([-2])
     # ball row of the frontier's first word; the identity's row is -1
@@ -431,14 +451,12 @@ def enumerate_ball(group, max_word_len):
             allowed = letter_index[None, :] != (frontier_last ^ 1)[:, None]
             parent_of, letter_of = np.nonzero(allowed)
             rows = np.empty((len(parent_of), 4), dtype=complex)
-            for start in range(0, len(frontier_rows), _LEVEL_CHUNK):
-                stop = start + _LEVEL_CHUNK
+            for start in range(0, len(frontier_rows), _CHUNK):
+                stop = start + _CHUNK
                 # parent_of is sorted, so the chunk's children are one run
                 lo, hi = np.searchsorted(parent_of, (start, stop))
                 coords = product_rows(frontier_rows[start:stop], factors)
-                rows[lo:hi] = canonical_rows(
-                    coords[allowed[start:stop]].view(complex)
-                )
+                rows[lo:hi] = coords[allowed[start:stop]].view(complex)
             kept = seen.add_rows(rows)
             # the candidates go before the next level's are built
             del rows
@@ -543,29 +561,6 @@ def _near_kinds(entries, tol_trace):
     return np.where(decided, _TEST_KINDS[first], np.int8(_UNDECIDED))
 
 
-def _trace_lengths(t, tol_trace):
-    """A function length(k, m) that gives complex_length(m, tol_trace) for
-    m a ball row, neither identity nor parabolic, of trace t[k]: it calls
-    complex_length once per bit pattern of t[k].
-
-    complex_length reads only the trace of such a row, and t[k] holds the
-    bits of m.a + m.d.  The key is the bits, not the value: 0.0 == -0.0,
-    though a function of the trace may tell the two apart.
-    """
-    bits = t.tobytes()
-    lengths = {}
-
-    def length(k, m):
-        # 16 bytes per complex trace
-        key = bits[16 * k:16 * k + 16]
-        cl = lengths.get(key)
-        if cl is None:
-            cl = lengths[key] = complex_length(m, tol_trace)
-        return cl
-
-    return length
-
-
 def _cosh_half_length(t):
     """cosh(l / 2) for l the translation length of trace t."""
     z = t / 2.0
@@ -633,9 +628,9 @@ def _scan(ball, kinds, tol_trace, length_bound):
     _KEY_SLACK of the cosh of its length, so only the candidates whose key
     allows a length of at most length_bound(least) are read, least the
     most length the least key of a row of those kinds allows (inf when
-    there is none).  Each row read gets the complex_length of its trace
-    (see _trace_lengths); an _AMBIGUOUS row read raises classify's
-    AmbiguousClass.
+    there is none).  Each row read is signed and gets the complex_length
+    of its trace, computed once per bit pattern of the trace; an _AMBIGUOUS
+    row read raises classify's AmbiguousClass.
     """
     entries = ball.entries
     codes = ball.trace_kinds(tol_trace)
@@ -666,17 +661,24 @@ def _scan(ball, kinds, tol_trace, length_bound):
     )
     if not rows.size:
         return []
-    scanned = entries[rows]
-    length_of = _trace_lengths(scanned[:, 0] + scanned[:, 3], tol_trace)
+    # complex_length reads only the trace of a row that is neither identity
+    # nor parabolic, and is not even in it: the key is the signed row's
+    # trace, and its bits, as 0.0 == -0.0 though a function of the trace
+    # may tell the two apart
+    lengths = {}
     found = []
-    for k, (i, code, row) in enumerate(
-        zip(rows.tolist(), codes[rows].tolist(), scanned.tolist())
+    for i, code, row in zip(
+        rows.tolist(), codes[rows].tolist(), entries[rows].tolist()
     ):
-        m = _isometry(*row)
+        m = _signed(*row)
         if code == _AMBIGUOUS:
             # raises AmbiguousClass
             classify(m, tol_trace)
-        found.append((i, _KINDS[code], length_of(k, m), m))
+        t = m.trace
+        key = struct.pack("2d", t.real, t.imag)
+        if key not in lengths:
+            lengths[key] = complex_length(m, tol_trace)
+        found.append((i, _KINDS[code], lengths[key], m))
     return found
 
 
@@ -800,16 +802,10 @@ def _character_screw(group, tol_trace):
     the product, 8 k eps times the product of the sums of |entries|.
     """
     generators = [(g.a, g.b, g.c, g.d) for g in group.generators]
-    sizes = [sum(map(abs, g)) for g in generators]
     for k in range(1, min(group.rank, 3) + 1):
         for subset in itertools.combinations(range(group.rank), k):
-            a, b, c, d = generators[subset[0]]
-            size = sizes[subset[0]]
-            for i in subset[1:]:
-                p, q, r, s = generators[i]
-                a, b = a * p + b * r, a * q + b * s
-                c, d = c * p + d * r, c * q + d * s
-                size *= sizes[i]
+            a, _, _, d = _product([generators[i] for i in subset])
+            size = math.prod(sum(map(abs, generators[i])) for i in subset)
             if abs((a + d).imag) > tol_trace + 8.0 * k * _EPS * size:
                 return tuple(2 * i for i in subset)
     return None
@@ -1022,14 +1018,16 @@ def jorgensen_warnings(group):
 
     The inequality |tr(A)^2 - 4| + |tr(ABA'B') - 2| >= 1 holds for every
     discrete non-elementary two-generator group; a violation means the pair
-    generates an indiscrete or elementary group.  Advisory only.
+    generates an indiscrete or elementary group.  Advisory only.  The
+    commutator is taken as computed: a sign on a partial product flips it.
     """
+    rows = [(g.a, g.b, g.c, g.d) for g in group.generators]
+    inverses = [(d, -b, -c, a) for a, b, c, d in rows]
     warnings = []
     for i, a in enumerate(group.generators):
         for j in range(i + 1, group.rank):
-            b = group.generators[j]
-            comm = a * b * a.inverse() * b.inverse()
-            value = abs(a.trace * a.trace - 4.0) + abs(comm.trace - 2.0)
+            p, _, _, s = _product((rows[i], rows[j], inverses[i], inverses[j]))
+            value = abs(a.trace * a.trace - 4.0) + abs(p + s - 2.0)
             if value < 1.0 - 1e-12:
                 warnings.append(
                     "generators %s, %s give discreteness sum %.6f < 1; "

@@ -10,10 +10,11 @@ Only the constructor rescales, and only matrices from outside (group files,
 library callers): a product of unit-determinant matrices has determinant
 one, so products and inverses are taken as computed and keep the canonical
 sign alone.  Dividing by the square root of a computed determinant would put
-its roundoff into the trace of every long word.  `product_rows` and
-`canonical_rows` repeat the product and its sign on numpy arrays of entries,
-with the same float operations, so a word ball built a level at a time holds
-the matrices bit for bit.
+its roundoff into the trace of every long word.  `product_rows` repeats the
+product on numpy arrays of entries, with the same float operations, and
+takes no sign: a motion's kind, length and axis are functions of +-M, so a
+word ball built a level at a time holds its rows as computed, and `_signed`
+takes the sign once, where a row is read as a matrix.
 """
 
 import cmath
@@ -158,7 +159,8 @@ class MoebiusIsometry:
 
 def _signed(a, b, c, d):
     """The matrix of complex entries a, b, c, d times its canonical sign,
-    without the constructor's determinant check and rescale."""
+    without the constructor's determinant check and rescale: the one
+    reader of a product taken as computed, such as a ball row."""
     m = object.__new__(MoebiusIsometry)
     sgn = _canonical_sign(a, b, c, d)
     m.a, m.b, m.c, m.d = sgn * a, sgn * b, sgn * c, sgn * d
@@ -174,14 +176,6 @@ def normalize(matrix):
 
 # ---------------------------------------------------------------------------
 # The same arithmetic on (n, 4) complex arrays of entries (a, b, c, d)
-
-# CPython before 3.14 multiplies a float by a complex as complex(x, 0.0)
-# times it, whose 0.0 * Im term can change the sign of a zero real part;
-# the canonical sign below repeats this interpreter's rule bit for bit.
-_FLOAT_TIMES_COMPLEX_WIDENS = (
-    math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
-)
-
 
 # Coordinate 4 r + o of p * l (Re a, Im a, ..., Im d), for o = 2 s + c the
 # real (c = 0) or imaginary part of entry (r, s), is the sum over terms t
@@ -218,7 +212,7 @@ def product_rows(parents, factors):
     are summed in place in two buffers as CPython's complex product and
     sum form each coordinate (numpy's own complex multiply may differ in
     the last bit), so each entry equals MoebiusIsometry.__mul__'s before
-    its sign.
+    its sign, which is not taken.
     """
     p = np.ascontiguousarray(parents.view(np.float64).T).reshape(
         2, 4, 1, len(parents)
@@ -231,40 +225,6 @@ def product_rows(parents, factors):
     high += p[:, 3] * factors[3]
     acc += high
     return acc.reshape(len(acc), 8, len(parents)).transpose(2, 0, 1)
-
-
-def canonical_rows(raw):
-    """Rows as _signed would store them: each row times its canonical sign.
-
-    raw is a C-contiguous (n, 4) complex array, taken as computed: a product
-    of unit-determinant matrices is not rescaled.  numpy repeats the sign
-    rule and the interpreter's float times complex bit for bit; a row whose
-    trace is within SIGN_TOL of zero goes through _signed itself.  A row
-    that is not finite (an overflowing product) raises NearSingular.  A
-    caller that may pass rows that overflow silences numpy's floating-point
-    warnings.
-    """
-    coords = raw.view(np.float64)
-    # one reduction finds an overflow; the rows are looked at only then
-    if not np.isfinite(coords.sum()):
-        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-        if bad.size:
-            raise NearSingular(
-                "entries %r are not finite" % (tuple(raw[bad[0]].tolist()),)
-            )
-    t = raw[:, 0] + raw[:, 3]
-    by_real = np.abs(t.real) > SIGN_TOL
-    scalar = ~(by_real | (np.abs(t.imag) > SIGN_TOL))
-    s = np.copysign(1.0, np.where(by_real, t.real, t.imag))[:, None]
-    if _FLOAT_TIMES_COMPLEX_WIDENS:
-        # numpy multiplies each entry by s + 0j, as this interpreter does
-        rows = raw * s
-    else:
-        rows = (coords * s).view(complex)
-    for i in np.flatnonzero(scalar).tolist():
-        m = _signed(*raw[i].tolist())
-        rows[i] = (m.a, m.b, m.c, m.d)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,22 @@ def bits(values):
     return np.array(values, dtype=complex).view(np.uint64).tolist()
 
 
+def scalar_products(parents, letters):
+    """p * l for each parent row p and letter row l, as CPython's complex
+    product and sum form MoebiusIsometry.__mul__'s entries before the
+    sign."""
+    return [
+        (
+            p[0] * l[0] + p[1] * l[2],
+            p[0] * l[1] + p[1] * l[3],
+            p[2] * l[0] + p[3] * l[2],
+            p[2] * l[1] + p[3] * l[3],
+        )
+        for p in parents
+        for l in letters
+    ]
+
+
 @pytest.fixture
 def ball_lengths(monkeypatch):
     """The word bounds of the enumerate_ball calls from here on, made in

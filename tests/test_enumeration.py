@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from loxo.errors import BudgetExceeded, NearSingular
 from loxo.geometry import (
     PLANE_TOL,
     axis_of,
+    circle_json,
     circle_through,
     halfturn_matrix,
     line_json,
@@ -45,7 +47,7 @@ from loxo.isometry import (
     complex_length,
     same_point,
 )
-from loxo.pipeline import load_group_file
+from loxo.pipeline import entry_json, load_group_file
 
 from conftest import (
     FIGURE_EIGHT,
@@ -54,6 +56,7 @@ from conftest import (
     float_groups,
     random_isometry,
     reference_groups,
+    scalar_products,
     seeded,
 )
 
@@ -269,6 +272,21 @@ def test_store_adds_an_empty_batch_and_one_copy_of_a_signed_row():
     assert store.find(bare_isometry(-row[0])) == n
 
 
+def test_store_raises_only_on_rows_that_are_not_finite():
+    # the entries' projections overflow, but every row is finite
+    big = np.array([(1.0, 1e308, 1e308, 1.0)] * 2, dtype=complex)
+    store = MatrixStore()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert store.add_rows(big).tolist() == [0]
+    assert (store.rows == big[:1]).all()
+    rows = np.array(
+        [(1.0, 0.0, 0.0, 1.0), (complex(math.inf, 0.0), 0.0, 0.0, 1.0)]
+    )
+    with pytest.raises(NearSingular, match=r"entries \(\(inf\+0j\)"):
+        store.add_rows(rows)
+    assert len(store.rows) == 1
+
+
 # ---------------------------------------------------------------------------
 # enumerate_ball
 
@@ -393,11 +411,101 @@ RANK_3_GROUP = pytest.param(rank_3_group(), id="rank_3")
 def test_ball_entries_equal_word_products_bitwise(group):
     ball = enumerate_ball(group, 5)
     assert ball.entries.shape == (len(ball), 4)
+    identity = MoebiusIsometry.identity()
+    letters = [
+        (m.a, m.b, m.c, m.d)
+        for m in map(group.letter_matrix, range(2 * group.rank))
+    ]
     for word, row in zip(ball, ball.entries):
         m = group.word(word.letters).matrix
         expected = bits([m.a, m.b, m.c, m.d])
         assert bits([word.matrix.a, word.matrix.b, word.matrix.c, word.matrix.d]) == expected
-        assert bits(row) == expected
+        # the row is the product as computed from the identity, unsigned
+        product = (identity.a, identity.b, identity.c, identity.d)
+        for letter in word.letters:
+            (product,) = scalar_products([product], [letters[letter]])
+        assert bits(row) == bits(product)
+
+
+def psl2z_conjugate():
+    """PSL(2, Z) on <z -> -1/z, z -> z + 1>, conjugated by the seeded
+    isometry of random.Random(5)."""
+    g = random_isometry(random.Random(5))
+    return GroupPresentation([
+        MoebiusIsometry(0, -1, 1, 0).conjugate_by(g),
+        MoebiusIsometry(1, 1, 0, 1).conjugate_by(g),
+    ])
+
+
+def _sign_even_groups():
+    groups = dict(reference_groups() + float_groups())
+    groups["psl2z conjugate"] = psl2z_conjugate()
+    names = (
+        "figure_eight",
+        "torus",
+        "torus conjugate",
+        "thrice_punctured",
+        "psl2z conjugate",
+    )
+    return [pytest.param(groups[name], id=name) for name in names]
+
+
+def _up_to_zero_sign(value):
+    """value with -0.0 read as 0.0 in every float it holds."""
+    if isinstance(value, dict):
+        return {k: _up_to_zero_sign(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_up_to_zero_sign(v) for v in value]
+    if isinstance(value, float):
+        return value + 0.0
+    return value
+
+
+@pytest.mark.parametrize("group", _sign_even_groups())
+def test_ball_results_are_even_in_the_sign_of_each_row(group, monkeypatch):
+    # a ball row is a product up to sign: negating any rows changes no
+    # kernel's result, bit for bit up to the sign of a zero (_signed takes
+    # the sign as the interpreter multiplies a float by a complex, whose
+    # 0 * Im term can give r and -r zero parts of other signs)
+    ball = enumerate_ball(group, 6)
+    entries = ball.entries.copy()
+    flip = np.random.default_rng(6).random(len(entries)) < 0.5
+    entries[flip] = -entries[flip]
+    flipped = loxo.enumeration.Ball(
+        entries, ball.parents, ball.letters, ball._labels
+    )
+
+    def entry(e):
+        return None if e is None else entry_json(e)
+
+    def results(b):
+        out = [b.trace_kinds(TOL_TRACE).tolist()]
+        for kinds in (("elliptic",), ("hyperbolic",), ("screw",)):
+            out.append(entry(shortest(b, kinds, TOL_TRACE)))
+        fuchsian = fuchsian_test(group, 6, ball=b)
+        out.append((
+            fuchsian.verdict,
+            fuchsian.witness and fuchsian.witness.name,
+            fuchsian.plane and circle_json(fuchsian.plane),
+        ))
+        for kinds in (("hyperbolic",), ("screw",)):
+            e = shortest(ball, kinds, TOL_TRACE)
+            if e is not None:
+                report = simplicity_check(group, e.axis, 6, ball=b)
+                out.append((
+                    report.verdict,
+                    report.witness and report.witness.name,
+                    report.distance,
+                    report.angle,
+                    report.tube_radius_lower,
+                ))
+        monkeypatch.setattr(
+            loxo.enumeration, "enumerate_ball", lambda group, length: b
+        )
+        out.append([entry(e) for e in spectrum(group, 6)])
+        return repr(_up_to_zero_sign(out))
+
+    assert results(flipped) == results(ball)
 
 
 def test_ball_near_singular_product_raises():
@@ -1481,6 +1589,22 @@ def test_thrice_punctured_seeks_the_pair_before_scanning(monkeypatch, name):
 
 def test_jorgensen_quiet_on_fixture():
     group = presentation(THRICE_PUNCTURED)
+    assert jorgensen_warnings(group) == []
+
+
+@pytest.mark.parametrize("c", [None, 0, 1])
+def test_jorgensen_quiet_on_a_gaussian_integer_pair(c):
+    # <[[1, 2], [0, 1]], [[1, 0], [i, 1]]> lies in PSL(2, Z[i]), so it is
+    # discrete, and tr[a, b] = -2 puts its sum at 4; a sign on a partial
+    # product of the commutator read +2 and a sum of 0
+    group = GroupPresentation(
+        [MoebiusIsometry(1, 2, 0, 1), MoebiusIsometry(1, 0, 1j, 1)]
+    )
+    if c is not None:
+        g = random_isometry(random.Random(5 + c))
+        group = GroupPresentation(
+            [x.conjugate_by(g) for x in group.generators]
+        )
     assert jorgensen_warnings(group) == []
 
 

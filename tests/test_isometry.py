@@ -12,6 +12,7 @@ from conftest import (
     parabolic_with,
     random_classified,
     random_isometry,
+    scalar_products,
     seeded,
 )
 from loxo.errors import (
@@ -24,7 +25,6 @@ from loxo.isometry import (
     BoundaryPoint,
     MoebiusIsometry,
     apply_boundary,
-    canonical_rows,
     chordal_distance,
     classify,
     complex_length,
@@ -265,70 +265,29 @@ def test_parabolic_conjugates_stay_parabolic():
         assert abs(abs(m.trace.real) - 2.0) <= 1e-9
 
 
-def test_canonical_rows_flip_signed_zeros_as_the_constructor():
-    # a negative trace (of unit-determinant rows, then of rows of another
-    # determinant with a trace of zero real part) flips the sign; the zero
+def test_signed_flips_signed_zeros_as_the_constructor():
+    # a negative trace of unit-determinant rows flips the sign; the zero
     # parts of the entries keep or lose their signs as the interpreter's
-    # float times complex does, in the scalar product's sign-only path
+    # float times complex does, in _signed, the reader of a ball row, as
+    # in the constructor
     zeros = (0.0, -0.0)
     rows = [
         (complex(-1.0, y), complex(x, -1.0), complex(x, y), complex(-1.0, x))
         for x in zeros
         for y in zeros
-    ] + [
-        (complex(x, 1.0), complex(0.5, y), complex(-2.0, x), complex(y, -1.5))
-        for x in zeros
-        for y in zeros
     ]
-    got = canonical_rows(np.array(rows, dtype=complex))
-    for row, raw in zip(got, rows):
+    for raw in rows:
         m = loxo.isometry._signed(*raw)
-        assert bits(row) == bits([m.a, m.b, m.c, m.d])
-    # the unit-determinant rows are the constructor's too
-    for row, raw in zip(got[:4], rows[:4]):
-        m = MoebiusIsometry(*raw)
-        assert bits(row) == bits([m.a, m.b, m.c, m.d])
+        n = MoebiusIsometry(*raw)
+        assert bits([m.a, m.b, m.c, m.d]) == bits([n.a, n.b, n.c, n.d])
 
 
 def test_products_keep_the_computed_determinant():
-    # a product is taken as computed: canonical_rows, the scalar product
-    # and the inverse flip the sign of a row of determinant 4 and do not
-    # rescale it
-    raw = (-2.0, 0.0, 0.0, -2.0)
-    assert canonical_rows(np.array([raw], dtype=complex)).tolist() == [
-        [2, 0, 0, 2]
-    ]
-    m = loxo.isometry._signed(*map(complex, raw))
-    for p in (m * MoebiusIsometry.identity(), m.inverse()):
+    # a product is taken as computed: _signed, the scalar product and the
+    # inverse flip the sign of a row of determinant 4 and do not rescale it
+    m = loxo.isometry._signed(*map(complex, (-2.0, 0.0, 0.0, -2.0)))
+    for p in (m, m * MoebiusIsometry.identity(), m.inverse()):
         assert (p.a, p.b, p.c, p.d) == (2, 0, 0, 2)
-
-
-def test_canonical_rows_raise_only_on_rows_that_are_not_finite():
-    # the entries' sum overflows, but every row is finite
-    big = np.array([(1.0, 1e308, 1e308, 1.0)] * 2, dtype=complex)
-    with np.errstate(over="ignore"):
-        assert (canonical_rows(big) == big).all()
-    rows = np.array(
-        [(1.0, 0.0, 0.0, 1.0), (complex(math.inf, 0.0), 0.0, 0.0, 1.0)]
-    )
-    with pytest.raises(NearSingular, match="not finite"):
-        canonical_rows(rows)
-
-
-def scalar_products(parents, letters):
-    """p * l for each parent row p and letter row l, as CPython's complex
-    product and sum form MoebiusIsometry.__mul__'s entries before the
-    sign."""
-    return [
-        (
-            p[0] * l[0] + p[1] * l[2],
-            p[0] * l[1] + p[1] * l[3],
-            p[2] * l[0] + p[3] * l[2],
-            p[2] * l[1] + p[3] * l[3],
-        )
-        for p in parents
-        for l in letters
-    ]
 
 
 @pytest.mark.parametrize("n_letters", [2, 6])
